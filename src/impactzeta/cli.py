@@ -27,7 +27,7 @@ from .building import (
     build_truncated,
     layer_members,
 )
-from .errors import ImpactZetaError
+from .errors import ClosedFormMismatch, ImpactZetaError
 from .genfun import (
     count_table,
     genfun_record,
@@ -36,7 +36,7 @@ from .genfun import (
     way_out_vertex,
 )
 from .orders import extension_case, full_zeta
-from .padic import enumerate_ideals, make_case
+from .padic import MIN_PRECISION, enumerate_ideals, make_case
 from .poly import BiPoly, RationalFn, series_expand
 from .report import CheckResult
 from .suites import (
@@ -196,7 +196,12 @@ def cmd_counts(args) -> int:
     for d in range(args.max_d + 1):
         closed = closed_series[d]
         if args.n >= 1:
-            assert closed == reachable_count_closed(spec, args.n, d)
+            formula = reachable_count_closed(spec, args.n, d)
+            if closed != formula:
+                raise ClosedFormMismatch(
+                    f"layer series gives {closed} at d={d}, "
+                    f"walk-count formula {formula}"
+                )
         rows.append(
             {"d": d, "r_closed": closed, "r_oracle": table.r[d], "p_oracle": table.p[d]}
         )
@@ -233,7 +238,9 @@ def cmd_counts(args) -> int:
 def cmd_enumerate(args) -> int:
     kind = _KIND_NAMES[args.case]
     n, bound = args.n, args.max_contribution
-    precision = args.precision or (bound + 2 * n + 2)
+    precision = args.precision
+    if precision is None:
+        precision = max(MIN_PRECISION, bound + 2 * n + 2)
     inst = make_case(kind, args.p, precision)
     if kind is BasinKind.SPLIT:
         halfwidth = max(bound - 2 * n, n)
@@ -321,11 +328,11 @@ def cmd_verify(args) -> int:
         ["identities", "oracle", "arithmetic"] if args.suite == "all" else [args.suite]
     )
     if "identities" in suites:
-        checks.extend(identity_suite(args.max_n or 8))
+        checks.extend(identity_suite(8 if args.max_n is None else args.max_n))
         checks.extend(line_fixture_suite())
     if "oracle" in suites:
         ms = tuple(args.m) if args.m else (2, 3)
-        checks.extend(oracle_suite(ms, args.max_n or 5, args.max_d))
+        checks.extend(oracle_suite(ms, 5 if args.max_n is None else args.max_n, args.max_d))
     if "arithmetic" in suites:
         if args.p:
             primes = {k: tuple(args.p) for k in BasinKind}
@@ -335,9 +342,8 @@ def cmd_verify(args) -> int:
             ) or DEFAULT_PRIMES[BasinKind.UNRAMIFIED]
         else:
             primes = None
-        checks.extend(
-            arithmetic_suite(primes, args.max_n or 2, args.max_contribution)
-        )
+        n_max = 2 if args.max_n is None else args.max_n
+        checks.extend(arithmetic_suite(primes, n_max, args.max_contribution))
     passed = sum(1 for c in checks if c.passed)
     request = {
         "subcommand": "verify",
@@ -426,6 +432,13 @@ def cmd_tree(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impactzeta",
@@ -459,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_counts.add_argument("--basin", required=True, choices=cases)
     p_counts.add_argument("--m", type=int, required=True)
     p_counts.add_argument("-n", type=int, required=True)
-    p_counts.add_argument("--max-d", type=int, default=10)
+    p_counts.add_argument("--max-d", type=_nonnegative, default=10)
     p_counts.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_counts.add_argument("--output", default=None)
     p_counts.set_defaults(func=cmd_counts)
@@ -468,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--case", required=True, choices=cases)
     p_enum.add_argument("--p", type=int, required=True)
     p_enum.add_argument("-n", type=int, required=True)
-    p_enum.add_argument("--max-contribution", type=int, required=True)
+    p_enum.add_argument("--max-contribution", type=_nonnegative, required=True)
     p_enum.add_argument("--precision", type=int, default=None)
     p_enum.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_enum.add_argument("--output", default=None)
@@ -480,11 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["identities", "oracle", "arithmetic", "all"],
     )
-    p_verify.add_argument("--max-n", type=int, default=None)
+    p_verify.add_argument("--max-n", type=_nonnegative, default=None)
     p_verify.add_argument("--m", type=int, action="append", default=None)
     p_verify.add_argument("--p", type=int, action="append", default=None)
-    p_verify.add_argument("--max-d", type=int, default=12)
-    p_verify.add_argument("--max-contribution", type=int, default=6)
+    p_verify.add_argument("--max-d", type=_nonnegative, default=12)
+    p_verify.add_argument("--max-contribution", type=_nonnegative, default=6)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -67,3 +67,7 @@ class NotAnIdeal(ImpactZetaError):
 
 class OutsideTruncation(ImpactZetaError):
     """A lattice class falls outside the truncated tree it was located in."""
+
+
+class ClosedFormMismatch(ImpactZetaError):
+    """Two closed forms for the same quantity disagree."""

@@ -15,11 +15,13 @@ valuations of the change-of-basis matrix.
 
 The ideal enumeration below is an oracle: it lists every finite-index
 sublattice of O_n = O_K[p^n Delta] up to the index bound, keeps the ones
-closed under multiplication by p^n*Delta, and tests principality by brute
-force over ideal elements reduced mod p^{k+1} (k the index exponent),
-confirming a found generator alpha by comparing the Hermite form of
-alpha*O_n with the ideal.  It never consults the type-counting formulas it
-is used to check.
+closed under multiplication by p^n*Delta, and tests principality by a
+generator search over the p^2 classes of I/pI (whether an element generates
+depends only on its class mod pI), confirming a found generator alpha by
+comparing the Hermite form of alpha*O_n with the ideal.  A second decider,
+the multiplier-ring criterion (I is principal iff p^n*Delta*I is not inside
+p*I), shares nothing with the search and serves as a cross-check.  Neither
+consults the type-counting formulas they are used to check.
 """
 
 from __future__ import annotations
@@ -618,39 +620,69 @@ class IdealRecord:
     distance_to_main: Optional[int] = None
 
 
-def _module_action_matrix(inst: CaseInstance, n: int) -> tuple[int, int, int, int]:
-    """Multiplication by p^n*Delta on the O_n basis {1, p^n*Delta}."""
-    return (0, -inst.delta * inst.p ** (2 * n), 1, inst.tau * inst.p**n)
+def is_ideal(inst: CaseInstance, n: int, L: LatticeHNF) -> bool:
+    """Closure of the sublattice under multiplication by p^n*Delta.
 
-
-def _lattice_contains(L: LatticeHNF, w0: int, w1: int) -> bool:
+    On the O_n basis {1, p^n*Delta}, p^n*Delta sends (x, y) to
+    (-delta p^{2n} y, x + tau p^n y), and (w0, w1) lies in L iff p^b | w1
+    and p^a | w0 - c*w1/p^b.
+    """
     pa = L.p**L.a_exp
     pb = L.p**L.b_exp
-    if w1 % pb != 0:
+    c = L.c
+    # First column (p^a, 0) maps to (0, p^a).
+    if pa % pb or (c * (pa // pb)) % pa:
         return False
-    return (w0 - L.c * (w1 // pb)) % pa == 0
+    # Second column (c, p^b) maps to (-delta p^{2n} p^b, c + tau p^n p^b).
+    pn = inst.p**n
+    w1 = c + inst.tau * pn * pb
+    if w1 % pb:
+        return False
+    return (-inst.delta * pn * pn * pb - c * (w1 // pb)) % pa == 0
 
 
-def is_ideal(inst: CaseInstance, n: int, L: LatticeHNF) -> bool:
-    """Closure of the sublattice under multiplication by p^n*Delta."""
-    m00, m01, m10, m11 = _module_action_matrix(inst, n)
-    for v0, v1 in ((L.p**L.a_exp, 0), (L.c, L.p**L.b_exp)):
-        w0 = m00 * v0 + m01 * v1
-        w1 = m10 * v0 + m11 * v1
-        if not _lattice_contains(L, w0, w1):
+def _delta_maps_into(inst: CaseInstance, n: int, L: LatticeHNF, M: LatticeHNF) -> bool:
+    """Whether p^n*Delta maps the lattice L into the lattice M (O_n basis)."""
+    pn = inst.p**n
+    pa = M.p**M.a_exp
+    pb = M.p**M.b_exp
+    for x, y in ((L.p**L.a_exp, 0), (L.c, L.p**L.b_exp)):
+        w1 = x + inst.tau * pn * y
+        if w1 % pb or (-inst.delta * pn * pn * y - M.c * (w1 // pb)) % pa:
             return False
     return True
+
+
+def multiplier_principal(inst: CaseInstance, n: int, L: LatticeHNF) -> bool:
+    """Principality of the O_n-ideal L, decided by its multiplier ring.
+
+    Quadratic orders are Gorenstein, so L is principal exactly when its
+    multiplier ring is O_n itself.  For n >= 1 the next larger order is
+    O_{n-1}, so this says p^{n-1}*Delta*L is not inside L, that is,
+    p^n*Delta*L is not inside p*L.  For n = 0 the same test always finds
+    Delta*L outside p*L (Delta/p is not integral), matching the fact that
+    every ideal of O_0 is principal.  Unlike the generator search, this
+    decider never looks at norms.
+    """
+    pL = LatticeHNF(L.p, L.a_exp + 1, L.p * L.c, L.b_exp + 1)
+    return not _delta_maps_into(inst, n, L, pL)
 
 
 def _find_generator(
     inst: CaseInstance, n: int, L: LatticeHNF
 ) -> Optional[tuple[int, int]]:
-    """Brute-force search for a generator among I mod p^{k+1} O_n.
+    """Search for a generator among the p^2 classes of I/pI.
 
-    An element alpha generates iff val_p(N(alpha)) equals the index
-    exponent k (always >= k on I), so the scan walks the residues in a
-    fixed order and stops at the first hit; exhausting the scan proves the
-    ideal non-principal.  Returns O_n-basis coordinates of the generator.
+    An element alpha of I generates iff val_p(N(alpha)) equals the index
+    exponent k (it is always >= k on I).  This only depends on alpha mod pI:
+    adding beta in pI to a generator alpha gives alpha*(1 + beta/alpha) with
+    beta/alpha in pO_n, so a unit multiple; and if alpha + beta generated,
+    then so would alpha by the same argument.  So the candidates
+    s*e1 + t*e2 with 0 <= s, t < p, for the Hermite basis e1 = (p^a, 0),
+    e2 = (c, p^b), decide principality exactly.  The scan runs t outer and
+    s inner and stops at the first hit, which is the first hit of a scan
+    over all of I mod p^{k+1} in the same order.  Returns O_n-basis
+    coordinates of the generator, or None when the ideal is non-principal.
     """
     p = inst.p
     k = L.index_exponent
@@ -660,13 +692,13 @@ def _find_generator(
     pb = p**L.b_exp
     tau_n = inst.tau * p**n
     delta_n = inst.delta * p ** (2 * n)
-    for bcoef in range(pk1 // pb):
-        v = bcoef * pb
-        t1 = bcoef * L.c
+    for t in range(p):
+        v = t * pb
+        t1 = t * L.c
         lin = tau_n * v
         quad = delta_n * v * v
-        for acoef in range(pk1 // pa):
-            u = acoef * pa + t1
+        for s in range(p):
+            u = s * pa + t1
             norm = u * u + lin * u + quad
             if norm % pk == 0 and norm % pk1 != 0:
                 return (u, v)

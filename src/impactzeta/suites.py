@@ -8,7 +8,8 @@ Three suites:
 * oracle: truncated-tree BFS counts against the closed forms.
 * arithmetic: the p-adic enumeration oracle against the type-counting
   results (unit indices, type histograms, series prefixes, vertex
-  locations and distances, the traveling map).
+  locations and distances, the traveling map), and its generator search
+  against the multiplier-ring criterion for principality.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from collections import Counter
 from itertools import product
 from typing import Iterable, Optional
 
-from .building import BasinKind, BuildingSpec, build_line_tree, build_truncated, layer_members
+from .building import (
+    BasinKind,
+    BuildingSpec,
+    build_line_tree,
+    build_truncated,
+    distance,
+    layer_members,
+)
 from .genfun import (
     basin_genfun_q,
     check_geodesic_q,
@@ -37,9 +45,11 @@ from .orders import (
     unit_index,
 )
 from .padic import (
+    MIN_PRECISION,
     coset_reps,
     enumerate_ideals,
     make_case,
+    multiplier_principal,
     source_and_distance_check,
     traveling,
 )
@@ -148,7 +158,7 @@ def arithmetic_suite(
     d_bound: int = 6,
 ) -> list[CheckResult]:
     primes = primes or DEFAULT_PRIMES
-    precision = d_bound + 2 * n_max + 2
+    precision = max(MIN_PRECISION, d_bound + 2 * n_max + 2)
     results: list[CheckResult] = []
     for kind in ALL_KINDS:
         case = extension_case(kind)
@@ -197,21 +207,34 @@ def arithmetic_suite(
                     )
                 )
                 # (d) vertices: the principal classes are exactly the layer-n
-                # vertices within contribution reach (an apartment anchor at
-                # position j costs 2n + |j|, so the bound reaches |j| <=
-                # d_bound - 2n; the other basins are finite and fully reached).
+                # vertices within contribution reach (the smallest
+                # contribution at a vertex is its distance to the way out).
                 vertex_set = {r.vertex for r in principal}
+                way_out = way_out_vertex(tree.spec, n)
                 reachable = {
                     v
                     for v in layer_members(tree, n)
-                    if kind is not BasinKind.SPLIT
-                    or abs(v.anchor) <= d_bound - 2 * n
+                    if distance(tree, v, way_out) <= d_bound
                 }
                 results.append(
                     CheckResult(
                         f"vertex-layer {label} n={n}",
                         vertex_set == reachable,
                         f"{len(vertex_set)} vertices",
+                    )
+                )
+                # (e) principality: the generator search against the
+                # multiplier-ring criterion, which never looks at norms.
+                disagree = [
+                    r
+                    for r in records
+                    if multiplier_principal(inst, n, r.lattice) != r.principal
+                ]
+                results.append(
+                    CheckResult(
+                        f"principal-deciders {label} n={n}",
+                        not disagree,
+                        f"{len(records)} ideals, {len(disagree)} disagree",
                     )
                 )
                 source_checks = source_and_distance_check(inst, n, d_bound, tree)
@@ -222,7 +245,7 @@ def arithmetic_suite(
                         f"{len(source_checks)} vertices checked",
                     )
                 )
-                # (e) traveling map: bijection onto the next level's
+                # (f) traveling map: bijection onto the next level's
                 # non-principal ideals, one index step up.
                 if n < n_max:
                     inner = enumerate_ideals(inst, n, d_bound - 1)

@@ -340,3 +340,55 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["request"]["subcommand"] == "zeta"
+
+
+def test_verify_max_n_zero_is_literal(capsys):
+    from impactzeta.suites import identity_suite, line_fixture_suite
+
+    code, out, _ = run(
+        capsys, "verify", "--suite", "identities", "--max-n", "0", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["request"]["max_n"] == 0
+    assert doc["results"]["checks"] == len(identity_suite(0)) + len(line_fixture_suite())
+    assert doc["results"]["checks"] < len(identity_suite(8)) + len(line_fixture_suite())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "identities", "--max-n", "-1"],
+        ["verify", "--suite", "oracle", "--max-d", "-1"],
+        ["verify", "--suite", "arithmetic", "--max-contribution", "-1"],
+        ["counts", "--basin", "ramified", "--m", "2", "-n", "1", "--max-d", "-1"],
+        ["enumerate", "--case", "ramified", "--p", "2", "-n", "0", "--max-contribution", "-1"],
+    ],
+)
+def test_negative_sizes_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_arithmetic_zero_bound(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "arithmetic", "--p", "2", "--max-n", "0",
+        "--max-contribution", "0", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["failed"] == 0 and doc["results"]["checks"] > 0
+
+
+def test_counts_closed_form_mismatch_exit_code(capsys, monkeypatch):
+    from impactzeta import cli
+
+    monkeypatch.setattr(cli, "reachable_count_closed", lambda spec, n, d: -1)
+    code, out, err = run(
+        capsys, "counts", "--basin", "ramified", "--m", "2", "-n", "1", "--max-d", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "walk-count formula -1" in err

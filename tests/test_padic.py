@@ -15,6 +15,7 @@ from impactzeta.errors import (
 )
 from impactzeta.orders import extension_case, principal_count_series, unit_index
 from impactzeta.padic import (
+    _find_generator,
     ClassAtlas,
     LatticeHNF,
     QuadElem,
@@ -33,6 +34,7 @@ from impactzeta.padic import (
     level0_reps,
     make_case,
     mult_matrix,
+    multiplier_principal,
     order_lattice,
     second_anchor_lattice,
     slope_map,
@@ -43,6 +45,7 @@ from impactzeta.padic import (
     unit_representative,
 )
 from impactzeta.report import all_passed
+from impactzeta.suites import arithmetic_suite
 
 RAM = BasinKind.RAMIFIED
 UNRAM = BasinKind.UNRAMIFIED
@@ -316,6 +319,72 @@ def test_generator_spans_ideal(ram3):
     assert len(three) == 3
     lattices = {r.lattice.key() for r in three}
     assert (1, 0, 1) in lattices  # 3*O_1 = [[3,0],[0,3]]
+
+
+def _exhaustive_generator(inst, n, L):
+    """Referee: scan every element of I mod p^{k+1} O_n for a generator.
+
+    Same order as the library's search (second Hermite coefficient outer),
+    but over all p^{k+1-b} * p^{k+1-a} residues instead of I/pI.
+    """
+    p = inst.p
+    k = L.index_exponent
+    pk, pk1 = p**k, p ** (k + 1)
+    pa, pb = p**L.a_exp, p**L.b_exp
+    for bcoef in range(pk1 // pb):
+        v = bcoef * pb
+        for acoef in range(pk1 // pa):
+            u = acoef * pa + bcoef * L.c
+            norm = u * u + inst.tau * p**n * u * v + inst.delta * p ** (2 * n) * v * v
+            if norm % pk == 0 and norm % pk1 != 0:
+                return (u, v)
+    return None
+
+
+REFEREE_GRID = [
+    (RAM, 2, 5), (RAM, 3, 5), (RAM, 5, 4),
+    (UNRAM, 3, 5), (UNRAM, 5, 4),
+    (SPLIT, 2, 5), (SPLIT, 3, 5), (SPLIT, 5, 4),
+]
+
+
+@pytest.mark.parametrize("tag,p,bound", REFEREE_GRID)
+def test_generator_search_matches_exhaustive_scan(tag, p, bound):
+    inst = make_case(tag, p, bound + 6)
+    for n in range(3):
+        records = enumerate_ideals(inst, n, bound)
+        for rec in records:
+            coords = _exhaustive_generator(inst, n, rec.lattice)
+            assert rec.principal == (coords is not None), rec.lattice
+            if coords is not None:
+                u, v = coords
+                assert rec.generator == QuadElem(inst, u, p**n * v)
+            # The multiplier-ring criterion is a second, norm-free decider.
+            assert multiplier_principal(inst, n, rec.lattice) == rec.principal
+
+
+def test_generator_search_proves_non_principal(ram3):
+    # pO_0 inside O_1: the search over I/pI must come up empty, as the full
+    # scan does, and the multiplier ring O_0 is larger than O_1.
+    L = LatticeHNF(3, 1, 0, 0)
+    assert is_ideal(ram3, 1, L)
+    assert _find_generator(ram3, 1, L) is None
+    assert _exhaustive_generator(ram3, 1, L) is None
+    assert not multiplier_principal(ram3, 1, L)
+    # O_1 itself is principal for both deciders.
+    O1 = LatticeHNF(3, 0, 0, 0)
+    assert _find_generator(ram3, 1, O1) == (1, 0)
+    assert multiplier_principal(ram3, 1, O1)
+
+
+def test_vertex_layer_reach_at_n3():
+    # Layer-3 vertices of the finite ramified basin lie up to distance 7 from
+    # the way out, beyond the bound 6; only the reachable ones must appear.
+    results = arithmetic_suite({RAM: (2,)}, n_max=3, d_bound=6)
+    names = {r.name for r in results}
+    assert "vertex-layer ramified p=2 n=3" in names
+    assert "principal-deciders ramified p=2 n=3" in names
+    assert all_passed(results), [r.name for r in results if not r.passed]
 
 
 def test_traveling_examples(ram3):
