@@ -40,7 +40,6 @@ from .padic import MIN_PRECISION, enumerate_ideals, make_case
 from .poly import BiPoly, RationalFn, series_expand
 from .report import CheckResult
 from .suites import (
-    DEFAULT_PRIMES,
     arithmetic_suite,
     identity_suite,
     line_fixture_suite,
@@ -336,10 +335,14 @@ def cmd_verify(args) -> int:
     if "arithmetic" in suites:
         if args.p:
             primes = {k: tuple(args.p) for k in BasinKind}
-            # p = 2 unramified is unsupported; drop it rather than fail.
-            primes[BasinKind.UNRAMIFIED] = tuple(
-                p for p in args.p if p != 2
-            ) or DEFAULT_PRIMES[BasinKind.UNRAMIFIED]
+            # p = 2 unramified is unsupported: drop it, and skip the case
+            # when no other prime was asked for.
+            primes[BasinKind.UNRAMIFIED] = tuple(p for p in args.p if p != 2)
+            if not primes[BasinKind.UNRAMIFIED]:
+                print(
+                    "note: unramified case skipped (p = 2 is not supported)",
+                    file=sys.stderr,
+                )
         else:
             primes = None
         n_max = 2 if args.max_n is None else args.max_n
@@ -452,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", help="order zeta numerator/denominator")
     p_zeta.add_argument("--case", required=True, choices=cases)
-    p_zeta.add_argument("-n", type=int, required=True)
+    p_zeta.add_argument("-n", type=_nonnegative, required=True)
     p_zeta.add_argument("--q", type=int, default=None)
     p_zeta.add_argument("--series-terms", type=int, default=None)
     p_zeta.add_argument("--format", choices=["json", "text"], default="text")
@@ -462,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("genfun", help="layer/basin generating functions")
     p_gen.add_argument("--basin", required=True, choices=cases)
     p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("-n", type=int, required=True)
+    p_gen.add_argument("-n", type=_nonnegative, required=True)
     p_gen.add_argument("--series-terms", type=int, default=None)
     p_gen.add_argument("--format", choices=["json", "text"], default="text")
     p_gen.add_argument("--output", default=None)
@@ -471,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_counts = sub.add_parser("counts", help="walk-count tables, closed vs oracle")
     p_counts.add_argument("--basin", required=True, choices=cases)
     p_counts.add_argument("--m", type=int, required=True)
-    p_counts.add_argument("-n", type=int, required=True)
+    p_counts.add_argument("-n", type=_nonnegative, required=True)
     p_counts.add_argument("--max-d", type=_nonnegative, default=10)
     p_counts.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_counts.add_argument("--output", default=None)
@@ -480,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="p-adic ideal table")
     p_enum.add_argument("--case", required=True, choices=cases)
     p_enum.add_argument("--p", type=int, required=True)
-    p_enum.add_argument("-n", type=int, required=True)
+    p_enum.add_argument("-n", type=_nonnegative, required=True)
     p_enum.add_argument("--max-contribution", type=_nonnegative, required=True)
     p_enum.add_argument("--precision", type=int, default=None)
     p_enum.add_argument("--format", choices=["json", "csv", "text"], default="text")
@@ -505,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree = sub.add_parser("tree", help="truncated tree export")
     p_tree.add_argument("--basin", required=True, choices=cases)
     p_tree.add_argument("--m", type=int, required=True)
-    p_tree.add_argument("--radius", type=int, required=True)
-    p_tree.add_argument("--halfwidth", type=int, default=None)
+    p_tree.add_argument("--radius", type=_nonnegative, required=True)
+    p_tree.add_argument("--halfwidth", type=_nonnegative, default=None)
     p_tree.add_argument("--format", choices=["dot", "json", "text"], default="text")
     p_tree.add_argument("--output", default=None)
     p_tree.set_defaults(func=cmd_tree)

@@ -142,21 +142,28 @@ def _check_coverage(tree: TruncatedTree, v: VertexAddr, d: int):
         )
 
 
+def _distance_counts(
+    tree: TruncatedTree, v: VertexAddr, which: str
+) -> tuple[int, ...]:
+    """Vertices of the chosen height class at each BFS distance from v."""
+    layer, basin = tree.distance_profile(v)
+    if which == "layer":
+        return layer
+    if which == "basin":
+        return basin
+    raise ValueError(f"which must be 'layer' or 'basin', got {which!r}")
+
+
 def reachable_count_oracle(
     tree: TruncatedTree, v: VertexAddr, d: int, which: str = "layer"
 ) -> int:
-    """BFS oracle for r(d, v) / p(d, v): distance <= d and matching parity."""
+    """BFS oracle for r(d, v) / p(d, v): distance <= d and matching parity.
+
+    Sums the BFS distance histogram from v over d, d - 2, ..., d mod 2.
+    """
     _check_coverage(tree, v, d)
-    h = v.height
-    dist = tree.bfs_distances(v)
-    count = 0
-    for x, dx in dist.items():
-        if dx > d or (dx - d) % 2 != 0:
-            continue
-        hx = x.height
-        if (which == "layer" and hx == h) or (which == "basin" and hx <= h):
-            count += 1
-    return count
+    counts = _distance_counts(tree, v, which)
+    return sum(counts[d % 2 : d + 1 : 2]) if d >= 0 else 0
 
 
 def geodesic_count_oracle(
@@ -164,16 +171,8 @@ def geodesic_count_oracle(
 ) -> int:
     """BFS oracle for the exact-distance counts behind the geodesic flavor."""
     _check_coverage(tree, v, d)
-    h = v.height
-    dist = tree.bfs_distances(v)
-    count = 0
-    for x, dx in dist.items():
-        if dx != d:
-            continue
-        hx = x.height
-        if (which == "layer" and hx == h) or (which == "basin" and hx <= h):
-            count += 1
-    return count
+    counts = _distance_counts(tree, v, which)
+    return counts[d] if 0 <= d < len(counts) else 0
 
 
 @dataclass(frozen=True)

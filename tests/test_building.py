@@ -11,6 +11,7 @@ from impactzeta.building import (
     build_line_tree,
     build_truncated,
     distance,
+    first_arity,
     height,
     layer_members,
     way_out_vertex,
@@ -170,3 +171,94 @@ def test_bfs_matches_closed_form_random_pairs(kind, m, data):
     u = data.draw(st.sampled_from(tree.vertices))
     v = data.draw(st.sampled_from(tree.vertices))
     assert distance(tree, u, v) == bfs_distance(tree, u, v)
+
+
+def _reference_tree(kind, m, radius, halfwidth):
+    """Address-keyed construction, layer by layer, with sorted adjacency."""
+    if kind is BasinKind.UNRAMIFIED:
+        anchors = [0]
+    elif kind is BasinKind.RAMIFIED:
+        anchors = [0, 1]
+    else:
+        anchors = list(range(-halfwidth, halfwidth + 1))
+    adjacency = {VertexAddr(j): [] for j in anchors}
+    for a, b in zip(anchors, anchors[1:]):
+        adjacency[VertexAddr(a)].append(VertexAddr(b))
+        adjacency[VertexAddr(b)].append(VertexAddr(a))
+    frontier = [VertexAddr(j) for j in anchors]
+    for depth in range(radius):
+        arity = first_arity(kind, m) if depth == 0 else m
+        next_frontier = []
+        for parent in frontier:
+            for i in range(arity):
+                child = VertexAddr(parent.anchor, parent.word + (i,))
+                adjacency[child] = [parent]
+                adjacency[parent].append(child)
+                next_frontier.append(child)
+        frontier = next_frontier
+    key = lambda v: (v.anchor, v.word)  # noqa: E731
+    vertices = tuple(sorted(adjacency, key=key))
+    return vertices, {v: tuple(sorted(ns, key=key)) for v, ns in adjacency.items()}
+
+
+@pytest.mark.parametrize(
+    "kind,m,radius,halfwidth",
+    [
+        (kind, m, radius, 3 if kind is BasinKind.SPLIT else 0)
+        for kind in BasinKind
+        for m in (2, 3)
+        for radius in (0, 1, 3)
+    ]
+    + [(BasinKind.SPLIT, 2, 2, 5)],
+)
+def test_array_tree_matches_address_construction(kind, m, radius, halfwidth):
+    tree = build_truncated(BuildingSpec(kind, m), radius, halfwidth)
+    vertices, adjacency = _reference_tree(kind, m, radius, halfwidth)
+    assert tree.vertices == vertices
+    assert tree.adjacency == adjacency
+    assert len(tree) == len(vertices)
+    for v in vertices:
+        assert v in tree
+        assert tree.neighbors(v) == adjacency[v]
+    outside = [
+        VertexAddr(halfwidth + 2),
+        VertexAddr(0, (first_arity(kind, m),)),
+        VertexAddr(0, (0,) * (radius + 1)),
+        VertexAddr(0, (-1,)),
+        "0",
+    ]
+    for v in outside:
+        assert v not in tree
+    with pytest.raises(UnknownVertex):
+        tree.neighbors(VertexAddr(0, (0,) * (radius + 1)))
+
+
+@pytest.mark.parametrize("kind", [BasinKind.UNRAMIFIED, BasinKind.RAMIFIED])
+def test_line_tree_matches_address_construction(kind):
+    tree = build_line_tree(kind, 5)
+    vertices, adjacency = _reference_tree(kind, 1, 5, 0)
+    assert tree.vertices == vertices
+    assert tree.adjacency == adjacency
+
+
+@pytest.mark.parametrize("kind", [BasinKind.UNRAMIFIED, BasinKind.RAMIFIED])
+def test_deep_line_tree_builds_without_recursion(kind):
+    radius = 2000
+    tree = build_line_tree(kind, radius)
+    basin = 1 if kind is BasinKind.UNRAMIFIED else 2
+    assert len(tree) == basin + 2 * radius
+    far = way_out_vertex(tree.spec, radius)
+    assert far in tree
+    # From O_R the only other height-R vertex is the far end of the line.
+    layer, _ = tree.distance_profile(far)
+    assert len(layer) == 2 * radius + basin
+    assert layer[0] == layer[-1] == 1 and sum(layer) == 2
+
+
+def test_distance_profile_cache_is_bounded():
+    from impactzeta.building import PROFILE_CACHE_SIZE
+
+    tree = build_truncated(BuildingSpec(BasinKind.UNRAMIFIED, 3), 4)
+    for v in tree.vertices[: PROFILE_CACHE_SIZE + 10]:
+        tree.distance_profile(v)
+    assert len(tree._profiles) == PROFILE_CACHE_SIZE

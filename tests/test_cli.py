@@ -392,3 +392,34 @@ def test_counts_closed_form_mismatch_exit_code(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "walk-count formula -1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--case", "ramified", "-n", "-1"],
+        ["genfun", "--basin", "ramified", "--m", "2", "-n", "-1"],
+        ["counts", "--basin", "ramified", "--m", "2", "-n", "-1"],
+        ["enumerate", "--case", "ramified", "--p", "3", "-n", "-1", "--max-contribution", "3"],
+        ["tree", "--basin", "ramified", "--m", "2", "--radius", "-1"],
+        ["tree", "--basin", "split", "--m", "2", "--radius", "1", "--halfwidth", "-1"],
+    ],
+)
+def test_negative_heights_and_radii_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err
+    assert "radius must be nonnegative" not in err
+
+
+def test_verify_arithmetic_p2_skips_unramified(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "arithmetic", "--p", "2", "--max-n", "1",
+        "--max-contribution", "3", "--format", "json",
+    )
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names and not any("unramified" in name for name in names)
+    assert "unramified case skipped" in err

@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impactzeta.building import BasinKind, BuildingSpec, build_truncated, way_out_vertex
+from impactzeta.building import (
+    BasinKind,
+    BuildingSpec,
+    build_line_tree,
+    build_truncated,
+    way_out_vertex,
+)
 from impactzeta.errors import TruncationInsufficient, UnsupportedHeight
 from impactzeta.genfun import (
     basin_genfun,
@@ -90,6 +96,56 @@ def test_oracle_truncation_guard():
     unram = tree_for(UNRAM, 2, 1)
     with pytest.raises(TruncationInsufficient):
         reachable_count_oracle(unram, way_out_vertex(unram.spec, 2), 1)
+
+
+def test_oracle_rejects_unknown_height_class():
+    tree = tree_for(UNRAM, 2, 1)
+    with pytest.raises(ValueError):
+        reachable_count_oracle(tree, way_out_vertex(tree.spec, 1), 2, "layers")
+
+
+# -- referee: the per-d scan over the BFS distance map -----------------------
+
+REFEREE_RADIUS = 4
+
+
+def _scan_count(dist, h, d, which, exact):
+    """Count the scan way: every vertex of the distance map, for one d."""
+    count = 0
+    for x, dx in dist.items():
+        reached = dx == d if exact else dx <= d and (d - dx) % 2 == 0
+        in_class = x.height == h if which == "layer" else x.height <= h
+        if reached and in_class:
+            count += 1
+    return count
+
+
+def _referee_tree(name):
+    if name.startswith("line-"):
+        return build_line_tree(BasinKind(name[5:]), REFEREE_RADIUS)
+    kind, m = name.rsplit("-", 1)
+    # Split walks of length 2R + 2 from anchor 0 need halfwidth 2R + 2.
+    return tree_for(BasinKind(kind), int(m), REFEREE_RADIUS, extra=REFEREE_RADIUS + 2)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{k.value}-{m}" for k in (UNRAM, RAM, SPLIT) for m in (2, 3)]
+    + ["line-unramified", "line-ramified"],
+)
+def test_histogram_oracle_matches_scan_referee(name):
+    tree = _referee_tree(name)
+    for n in range(REFEREE_RADIUS + 1):
+        v = way_out_vertex(tree.spec, n)
+        dist = tree.bfs_distances(v)
+        for d in range(2 * REFEREE_RADIUS + 3):
+            for which in ("layer", "basin"):
+                assert reachable_count_oracle(tree, v, d, which) == _scan_count(
+                    dist, n, d, which, exact=False
+                ), (n, d, which)
+                assert geodesic_count_oracle(tree, v, d, which) == _scan_count(
+                    dist, n, d, which, exact=True
+                ), (n, d, which)
 
 
 # -- closed forms -----------------------------------------------------------
