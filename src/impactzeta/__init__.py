@@ -9,124 +9,3 @@ enumeration).
 """
 
 __version__ = "0.1.0"
-
-from .building import (
-    BasinKind,
-    BuildingSpec,
-    TruncatedTree,
-    VertexAddr,
-    build_line_tree,
-    build_truncated,
-    distance,
-    height,
-    layer_members,
-    way_out_vertex,
-)
-from .genfun import (
-    CountTable,
-    GenFunRecord,
-    basin_genfun,
-    basin_genfun_q,
-    check_recurrence,
-    count_table,
-    genfun_record,
-    geodesic_genfun,
-    layer_genfun,
-    layer_genfun_q,
-    reachable_count_closed,
-    reachable_count_oracle,
-)
-from .orders import (
-    ExtensionCase,
-    TypeDescriptor,
-    ZetaRecord,
-    check_main_theorem,
-    classify_type,
-    extension_case,
-    full_zeta,
-    numerator_poly,
-    principal_zeta,
-    unit_index,
-)
-from .padic import (
-    CaseInstance,
-    ClassAtlas,
-    IdealRecord,
-    LatticeHNF,
-    QuadElem,
-    UnitRep,
-    coset_reps,
-    elem_type,
-    enumerate_ideals,
-    ideal_vertex,
-    lattice_distance,
-    make_case,
-    slope_map,
-    source_and_distance_check,
-    traveling,
-    unit_representative,
-)
-from .poly import (
-    BiPoly,
-    RationalFn,
-    SeriesPrefix,
-    exact_div,
-    series_expand,
-)
-
-__all__ = [
-    "__version__",
-    "BasinKind",
-    "BiPoly",
-    "BuildingSpec",
-    "CaseInstance",
-    "ClassAtlas",
-    "CountTable",
-    "ExtensionCase",
-    "GenFunRecord",
-    "IdealRecord",
-    "LatticeHNF",
-    "QuadElem",
-    "RationalFn",
-    "SeriesPrefix",
-    "TruncatedTree",
-    "TypeDescriptor",
-    "UnitRep",
-    "VertexAddr",
-    "ZetaRecord",
-    "basin_genfun",
-    "basin_genfun_q",
-    "build_line_tree",
-    "build_truncated",
-    "check_main_theorem",
-    "check_recurrence",
-    "classify_type",
-    "coset_reps",
-    "count_table",
-    "distance",
-    "elem_type",
-    "enumerate_ideals",
-    "exact_div",
-    "extension_case",
-    "full_zeta",
-    "genfun_record",
-    "geodesic_genfun",
-    "height",
-    "ideal_vertex",
-    "lattice_distance",
-    "layer_genfun",
-    "layer_genfun_q",
-    "layer_members",
-    "make_case",
-    "numerator_poly",
-    "principal_zeta",
-    "reachable_count_closed",
-    "reachable_count_oracle",
-    "series_expand",
-    "slope_map",
-    "source_and_distance_check",
-    "traveling",
-    "unit_index",
-    "unit_representative",
-    "way_out_vertex",
-]

@@ -36,7 +36,7 @@ from .genfun import (
     way_out_vertex,
 )
 from .orders import extension_case, full_zeta
-from .padic import MIN_PRECISION, enumerate_ideals, make_case
+from .padic import MIN_PRECISION, enumerate_ideals, is_prime, make_case
 from .poly import BiPoly, RationalFn, series_expand
 from .report import CheckResult
 from .suites import (
@@ -442,6 +442,20 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _prime(text: str) -> int:
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not prime")
+    return value
+
+
+def _precision(text: str) -> int:
+    value = int(text)
+    if value < MIN_PRECISION:
+        raise argparse.ArgumentTypeError(f"must be >= {MIN_PRECISION}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impactzeta",
@@ -482,10 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="p-adic ideal table")
     p_enum.add_argument("--case", required=True, choices=cases)
-    p_enum.add_argument("--p", type=int, required=True)
+    p_enum.add_argument("--p", type=_prime, required=True)
     p_enum.add_argument("-n", type=_nonnegative, required=True)
     p_enum.add_argument("--max-contribution", type=_nonnegative, required=True)
-    p_enum.add_argument("--precision", type=int, default=None)
+    p_enum.add_argument("--precision", type=_precision, default=None)
     p_enum.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_enum.add_argument("--output", default=None)
     p_enum.set_defaults(func=cmd_enumerate)
@@ -498,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--max-n", type=_nonnegative, default=None)
     p_verify.add_argument("--m", type=int, action="append", default=None)
-    p_verify.add_argument("--p", type=int, action="append", default=None)
+    p_verify.add_argument("--p", type=_prime, action="append", default=None)
     p_verify.add_argument("--max-d", type=_nonnegative, default=12)
     p_verify.add_argument("--max-contribution", type=_nonnegative, default=6)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .building import BasinKind
-from .errors import ArityMismatch, NotDivisible
-from .genfun import layer_genfun_q, tail_denominator
-from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
+from .errors import ArityMismatch
+from .genfun import layer_genfun_q
+from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
 from .report import CheckResult
 
 TypeVector = Union[int, tuple[int, ...]]
@@ -83,22 +83,20 @@ def contribution(case: ExtensionCase, omega: TypeVector) -> int:
     return sum(f * w for f, w in zip(case.f_vec, vec))
 
 
-def eta(omega: TypeVector) -> int:
-    """Smallest component of a type vector (derived accessor, nothing more)."""
-    return omega if isinstance(omega, int) else min(omega)
-
-
 def unit_index(case: ExtensionCase, n: int) -> BiPoly:
-    """[O_0^* : O_n^*] as a polynomial in q."""
+    """[O_0^* : O_n^*] as a polynomial in q.
+
+    For n >= 1, O_n^* = o^* (1 + p^n O_0), so the index is
+    |(O_0/p^n)^*| / |(o/p^n)^*| = q^{n+1-sum f_i} prod (q^{f_i} - 1) / (q - 1).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return ONE
-    if case.tag is BasinKind.RAMIFIED:
-        return q_pow(n)
-    if case.tag is BasinKind.UNRAMIFIED:
-        return (q_pow(1) + 1) * q_pow(n - 1)
-    return (q_pow(1) - 1) * q_pow(n - 1)
+    units = q_pow(n + 1 - sum(case.f_vec))
+    for f in case.f_vec:
+        units = units * (q_pow(f) - 1)
+    return exact_div(units, Q - 1)
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,8 @@ def classify_type(case: ExtensionCase, n: int, omega: TypeVector) -> TypeDescrip
     """Low/high split, occurrence, and |X_omega| for a possible type.
 
     Low types occur only at omega = d * e_vec (0 <= d < n) with count
-    [O_{n-d}^* : O_n^*], computed as the exact quotient of unit indices;
-    every high type occurs with count [O_0^* : O_n^*].
+    [O_{n-d}^* : O_n^*] = q^d, since each step O_k^*/O_{k+1}^* (k >= 1) has
+    order q (the slope map); every high type occurs with count [O_0^* : O_n^*].
     """
     vec = normalize_type(case, omega)
     thr = case.threshold(n)
@@ -132,29 +130,35 @@ def classify_type(case: ExtensionCase, n: int, omega: TypeVector) -> TypeDescrip
     ) == 1
     if not diagonal:
         return TypeDescriptor(vec, n, True, False, BiPoly(), c)
-    d = vec[0] // e[0]
-    count = exact_div(unit_index(case, n), unit_index(case, n - d))
-    return TypeDescriptor(vec, n, True, True, count, c)
+    return TypeDescriptor(vec, n, True, True, q_pow(vec[0] // e[0]), c)
+
+
+def zeta_denominator(case: ExtensionCase) -> BiPoly:
+    """The denominator V = prod (1 - X^{f_i}) of the zeta functions."""
+    den = ONE
+    for f in case.f_vec:
+        den = den * (ONE - x_pow(f))
+    return den
 
 
 def principal_zeta(case: ExtensionCase, n: int) -> RationalFn:
     """Exact principal-ideal zeta: low-type sum plus geometric high tail.
 
-    All three cases reduce to sum_{d<n} q^d X^{2d} plus the unit index times
-    X^{2n} over the case tail ((1-X) ramified, (1-X^2) unramified, (1-X)^2
-    split), which doubles as the tree-side layer closed form under q <-> m.
+    Each diagonal low type d * e_vec (d < n) contributes count * X^c; the
+    high types omega >= t_n all share the count at t_n, and summing X^{f.omega}
+    over them gives X^{f.t_n} / V.  The result is over V.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tail = tail_denominator(case.tag)
-    low = sum((q_pow(d) * x_pow(2 * d) for d in range(n)), BiPoly())
-    num = low * tail + unit_index(case, n) * x_pow(2 * n)
-    return RationalFn(num, tail)
-
-
-def zeta_denominator(case: ExtensionCase) -> BiPoly:
-    """The denominator V of the full zeta function."""
-    return tail_denominator(case.tag)
+    den = zeta_denominator(case)
+    low = []
+    for d in range(n):
+        desc = classify_type(case, n, tuple(d * e for e in case.e_vec))
+        c = desc.contribution
+        low.extend((qe, xe + c, coeff) for qe, xe, coeff in desc.count_expr.terms)
+    high = classify_type(case, n, case.threshold(n))
+    num = BiPoly(tuple(low)) * den + high.count_expr * x_pow(high.contribution)
+    return RationalFn(num, den)
 
 
 @dataclass(frozen=True)
@@ -171,16 +175,13 @@ def full_zeta(case: ExtensionCase, n: int) -> ZetaRecord:
     """Full ideal zeta via full(n) = sum_i X^i principal(n - i), cleared by V."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    V = zeta_denominator(case)
+    principal = principal_zeta(case, n)
     num = sum(
-        (x_pow(i) * principal_zeta(case, n - i).num for i in range(n + 1)), BiPoly()
+        (x_pow(i) * principal_zeta(case, n - i).num for i in range(1, n + 1)),
+        principal.num,
     )
-    full = RationalFn(num, V)
-    try:
-        numerator = exact_div(full.num * V, full.den)
-    except NotDivisible as exc:  # pragma: no cover - internal inconsistency
-        raise NotDivisible(f"full zeta numerator not polynomial at n={n}") from exc
-    return ZetaRecord(case, n, principal_zeta(case, n), full, numerator, V)
+    V = principal.den
+    return ZetaRecord(case, n, principal, RationalFn(num, V), num, V)
 
 
 def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:
@@ -202,25 +203,28 @@ def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:
 def check_zeta_recurrence(case: ExtensionCase, n_max: int) -> list[CheckResult]:
     """full(n) = principal(n) + X * full(n-1), symbolically in q."""
     results = []
+    prev = full_zeta(case, 0)
     for n in range(1, n_max + 1):
-        lhs = full_zeta(case, n).full
-        rhs = principal_zeta(case, n) + x_pow(1) * full_zeta(case, n - 1).full
+        rec = full_zeta(case, n)
+        rhs = rec.principal + x_pow(1) * prev.full
         results.append(
-            CheckResult(f"zeta-recurrence {case.tag.value} n={n}", lhs == rhs)
+            CheckResult(f"zeta-recurrence {case.tag.value} n={n}", rec.full == rhs)
         )
+        prev = rec
     return results
 
 
 def check_main_theorem(case: ExtensionCase, n_max: int) -> list[CheckResult]:
-    """Principal zeta equals the layer generating function (q for m), and the
-    cleared full-zeta numerator equals the closed-form numerator family."""
+    """Principal zeta from the type count equals the tree-side layer generating
+    function (q for m), and the full-zeta numerator equals the closed-form
+    numerator family."""
     results = []
     for n in range(n_max + 1):
-        ok_main = principal_zeta(case, n) == layer_genfun_q(case.tag, n)
+        rec = full_zeta(case, n)
+        ok_main = rec.principal == layer_genfun_q(case.tag, n)
         results.append(
             CheckResult(f"main-theorem {case.tag.value} n={n}", ok_main)
         )
-        rec = full_zeta(case, n)
         ok_num = rec.numerator == numerator_poly(case, n)
         results.append(
             CheckResult(f"numerator {case.tag.value} n={n}", ok_num)

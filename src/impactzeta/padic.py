@@ -56,7 +56,7 @@ VAL_GUARD = 2
 MAX_ENUMERATED_LATTICES = 2_000_000
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -96,7 +96,7 @@ class CaseInstance:
 
 
 def make_case(tag: BasinKind, p: int, precision: int) -> CaseInstance:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UnsupportedPrime(f"{p} is not prime")
     if precision < MIN_PRECISION:
         raise PrecisionTooSmall(f"need precision >= {MIN_PRECISION}")
@@ -174,10 +174,6 @@ class QuadElem:
         return f"{self.x} + {self.y}*D"
 
 
-def elem(inst: CaseInstance, x: int, y: int = 0) -> QuadElem:
-    return QuadElem(inst, x, y)
-
-
 def from_components(inst: CaseInstance, a1: int, a2: int) -> QuadElem:
     """Split case: the element with factor components (a1, a2)."""
     if inst.tag is not BasinKind.SPLIT:
@@ -245,27 +241,16 @@ def slope_map(inst: CaseInstance, n: int, u: QuadElem) -> int:
     return (z * winv) % inst.p
 
 
-def level0_index(inst: CaseInstance) -> int:
-    """[O_0^* : O_1^*]: p, p + 1, p - 1 for ramified/unramified/split."""
-    if inst.tag is BasinKind.RAMIFIED:
-        return inst.p
-    if inst.tag is BasinKind.UNRAMIFIED:
-        return inst.p + 1
-    return inst.p - 1
-
-
 @functools.lru_cache(maxsize=None)
 def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
     """Coset representatives of O_0^*/O_1^*.
 
-    Ramified: 1 + t*Delta for t in 0..p-1 suffices.  Otherwise representatives
-    are found by enumeration over small coordinates, keeping a candidate when
-    its quotient against every kept one fails to land in O_1^*.
+    1 + p*O_0 lies in O_1^*, so every coset meets the units x + y*Delta with
+    0 <= x, y < p.  The search scans all of them and keeps a unit when its
+    quotient against every kept one fails to land in O_1^*, with no target
+    count: the number kept is the index [O_0^* : O_1^*].
     """
     p = inst.p
-    if inst.tag is BasinKind.RAMIFIED:
-        return tuple(QuadElem(inst, 1, t) for t in range(p))
-    want = level0_index(inst)
     reps: list[QuadElem] = []
     for x in range(p):
         for y in range(p):
@@ -275,9 +260,7 @@ def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
             if any(in_order_unit(inst, 1, cand * r.inverse()) for r in reps):
                 continue
             reps.append(cand)
-            if len(reps) == want:
-                return tuple(reps)
-    raise AssertionError(f"found only {len(reps)} of {want} representatives")
+    return tuple(reps)
 
 
 def unit_rep(inst: CaseInstance, level: int, t: int) -> QuadElem:
@@ -287,22 +270,6 @@ def unit_rep(inst: CaseInstance, level: int, t: int) -> QuadElem:
     if not 0 <= t < inst.p:
         raise ValueError("level >= 1 representatives are indexed by 0..p-1")
     return QuadElem(inst, 1, t * inst.p**level)
-
-
-@dataclass(frozen=True)
-class UnitRep:
-    """A labelled coset representative of one filtration step."""
-
-    level: int
-    t: int
-    element: QuadElem
-
-
-def unit_representative(inst: CaseInstance, level: int, t: int) -> UnitRep:
-    elem_ = unit_rep(inst, level, t)
-    if not in_order_unit(inst, level, elem_):
-        raise NotInOrderUnit(f"representative {elem_} is not a level-{level} unit")
-    return UnitRep(level, t, elem_)
 
 
 def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
@@ -316,7 +283,7 @@ def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
         raise ValueError("need 0 <= d <= n")
     ranges = []
     for level in range(n - d, n):
-        size = level0_index(inst) if level == 0 else inst.p
+        size = len(level0_reps(inst)) if level == 0 else inst.p
         ranges.append([(level, t) for t in range(size)])
     count = 1
     for r in ranges:
@@ -882,7 +849,6 @@ def source_and_distance_check(
             by_vertex.setdefault(rec.vertex, []).append(rec)
     results = []
     target = way_out_vertex(tree.spec, n)
-    on_class = class_rep(order_lattice(inst.p, n))
     for addr in sorted(by_vertex, key=lambda v: (v.anchor, v.word)):
         group = by_vertex[addr]
         types = sorted(
@@ -897,18 +863,13 @@ def source_and_distance_check(
             for k in range(expected_count)
         )
         progression_ok = types == want
-        dist_ok = all(
-            r.distance_to_main
-            == lattice_distance(inst, _ideal_class(inst, n, r.lattice), on_class)
-            for r in group
-        )
         metric_ok = min_contrib == group[0].distance_to_main == tree_distance(
             tree, addr, target
         )
         results.append(
             CheckResult(
                 f"source {inst.tag.value} p={inst.p} n={n} vertex={addr}",
-                progression_ok and dist_ok and metric_ok,
+                progression_ok and metric_ok,
                 f"types={types} min_c={min_contrib}",
             )
         )

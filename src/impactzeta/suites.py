@@ -7,9 +7,9 @@ Three suites:
   the geodesic relation).
 * oracle: truncated-tree BFS counts against the closed forms.
 * arithmetic: the p-adic enumeration oracle against the type-counting
-  results (unit indices, type histograms, series prefixes, vertex
-  locations and distances, the traveling map), and its generator search
-  against the multiplier-ring criterion for principality.
+  results (unit indices, type histograms, principal and full series
+  prefixes, vertex locations and distances, the traveling map), and its
+  generator search against the multiplier-ring criterion for principality.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .orders import (
     check_zeta_recurrence,
     classify_type,
     extension_case,
+    ideal_count_series,
     principal_count_series,
     unit_index,
 )
@@ -204,6 +205,19 @@ def arithmetic_suite(
                             for d in range(d_bound + 1)
                         ),
                         f"observed {sorted(by_contribution.items())}",
+                    )
+                )
+                # (c') full series prefix: every enumerated ideal, by index.
+                by_index = Counter(r.index_exponent for r in records)
+                series = ideal_count_series(case, n, d_bound, p)
+                results.append(
+                    CheckResult(
+                        f"ideal-series {label} n={n}",
+                        all(
+                            by_index.get(d, 0) == series[d]
+                            for d in range(d_bound + 1)
+                        ),
+                        f"observed {sorted(by_index.items())}",
                     )
                 )
                 # (d) vertices: the principal classes are exactly the layer-n

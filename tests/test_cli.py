@@ -414,6 +414,31 @@ def test_negative_heights_and_radii_rejected_at_parse_time(capsys, argv):
     assert "radius must be nonnegative" not in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (
+            ["enumerate", "--case", "ramified", "--p", "4", "-n", "1",
+             "--max-contribution", "3"],
+            "4 is not prime",
+        ),
+        (["verify", "--suite", "arithmetic", "--p", "4"], "4 is not prime"),
+        (
+            ["enumerate", "--case", "ramified", "--p", "3", "-n", "1",
+             "--max-contribution", "3", "--precision", "-1"],
+            "must be >= 4, got -1",
+        ),
+    ],
+)
+def test_non_prime_and_low_precision_rejected_at_parse_time(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "usage:" in err
+
+
 def test_verify_arithmetic_p2_skips_unramified(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "arithmetic", "--p", "2", "--max-n", "1",

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from impactzeta import orders
 from impactzeta.building import BasinKind
 from impactzeta.errors import ArityMismatch
 from impactzeta.orders import (
@@ -8,7 +11,6 @@ from impactzeta.orders import (
     check_zeta_recurrence,
     classify_type,
     contribution,
-    eta,
     extension_case,
     full_zeta,
     numerator_poly,
@@ -77,11 +79,6 @@ def test_classify_arity():
         classify_type(SPLIT, 1, 2)
 
 
-def test_eta_accessor():
-    assert eta(3) == 3
-    assert eta((2, 5)) == 2
-
-
 def test_principal_zeta_examples():
     one_minus_x = ONE - x_pow(1)
     assert principal_zeta(RAM, 1) == RationalFn(
@@ -138,6 +135,28 @@ def test_recurrence_and_main_theorem():
     for case in all_cases():
         assert all_passed(check_zeta_recurrence(case, 8))
         assert all_passed(check_main_theorem(case, 8))
+
+
+def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):
+    """The principal zeta is summed from classify_type, so a low-type count
+    that is off by a factor q must fail the comparison with the tree side."""
+    real = orders.classify_type
+
+    def off_by_q(case, n, omega):
+        desc = real(case, n, omega)
+        if desc.is_low and desc.occurs:
+            return dataclasses.replace(desc, count_expr=desc.count_expr * Q)
+        return desc
+
+    monkeypatch.setattr(orders, "classify_type", off_by_q)
+    for case in all_cases():
+        main = [
+            c.passed
+            for c in check_main_theorem(case, 4)
+            if c.name.startswith("main-theorem")
+        ]
+        # O_0 has no low types; every O_n with n >= 1 has the type 0.
+        assert main == [True, False, False, False, False], case.tag
 
 
 def test_full_zeta_equals_basin_genfun():

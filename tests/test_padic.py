@@ -42,7 +42,6 @@ from impactzeta.padic import (
     standard_lattice,
     traveling,
     unit_rep,
-    unit_representative,
 )
 from impactzeta.report import all_passed
 from impactzeta.suites import arithmetic_suite
@@ -176,13 +175,12 @@ def test_level0_reps_counts(ram3, unram3, split3):
 
 
 def test_unit_representative_records(ram3, unram3):
-    rep = unit_representative(ram3, 1, 2)
-    assert (rep.level, rep.t) == (1, 2)
-    assert rep.element == QuadElem(ram3, 1, 6)
-    assert in_order_unit(ram3, 1, rep.element)
+    # Level 1, index t = 2: the representative 1 + 2*p*Delta.
+    rep = unit_rep(ram3, 1, 2)
+    assert rep == QuadElem(ram3, 1, 6)
+    assert in_order_unit(ram3, 1, rep)
     for t in range(4):
-        rep0 = unit_representative(unram3, 0, t)
-        assert in_order_unit(unram3, 0, rep0.element)
+        assert in_order_unit(unram3, 0, unit_rep(unram3, 0, t))
 
 
 def test_coset_reps_counts(ram3, unram3, split3):
