@@ -289,13 +289,6 @@ def build_line_tree(kind: BasinKind, radius: int) -> TruncatedTree:
     return TruncatedTree(_line_spec(kind), radius)
 
 
-def height(tree: TruncatedTree, v: VertexAddr) -> int:
-    """Layer index of v: its graph distance to the nearest basin vertex."""
-    if v not in tree:
-        raise UnknownVertex(str(v))
-    return v.height
-
-
 def _anchor_separation(kind: BasinKind, a: int, b: int) -> int:
     if a == b:
         return 0

@@ -36,11 +36,12 @@ from .genfun import (
     way_out_vertex,
 )
 from .orders import extension_case, full_zeta
-from .padic import MIN_PRECISION, enumerate_ideals, is_prime, make_case
+from .padic import enumerate_ideals, enumeration_precision, is_prime, make_case
 from .poly import BiPoly, RationalFn, series_expand
 from .report import CheckResult
 from .suites import (
     arithmetic_suite,
+    arithmetic_tree,
     identity_suite,
     line_fixture_suite,
     oracle_suite,
@@ -87,10 +88,6 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _vertex_str(v) -> str:
-    return str(v)
-
-
 # -- zeta ---------------------------------------------------------------
 
 
@@ -111,15 +108,12 @@ def cmd_zeta(args) -> int:
         "numerator": poly_to_json(num),
         "denominator": poly_to_json(den),
     }
-    series = None
     if args.series_terms is not None:
         prefix = series_expand(RationalFn(num, den), args.series_terms)
         if args.q is not None:
-            series = prefix.at_q(0)
-            results["series"] = series
+            results["series"] = prefix.at_q(0)
         else:
-            series = [poly_to_json(c) for c in prefix.coefficients]
-            results["series"] = series
+            results["series"] = [poly_to_json(c) for c in prefix.coefficients]
     if args.format == "json":
         _emit(_json_text(_document(request, results)), args.output)
     else:
@@ -130,12 +124,9 @@ def cmd_zeta(args) -> int:
         ]
         if args.series_terms is not None:
             if args.q is not None:
-                lines.append("series: " + " ".join(str(c) for c in series))
+                lines.append("series: " + " ".join(map(str, results["series"])))
             else:
-                prefix = series_expand(RationalFn(num, den), args.series_terms)
-                lines.append(
-                    "series: " + " | ".join(str(c) for c in prefix.coefficients)
-                )
+                lines.append("series: " + " | ".join(map(str, prefix.coefficients)))
         _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -237,16 +228,9 @@ def cmd_counts(args) -> int:
 def cmd_enumerate(args) -> int:
     kind = _KIND_NAMES[args.case]
     n, bound = args.n, args.max_contribution
-    precision = args.precision
-    if precision is None:
-        precision = max(MIN_PRECISION, bound + 2 * n + 2)
+    precision = enumeration_precision(n, bound)
     inst = make_case(kind, args.p, precision)
-    if kind is BasinKind.SPLIT:
-        halfwidth = max(bound - 2 * n, n)
-        tree = build_truncated(BuildingSpec(kind, args.p), n, halfwidth)
-    else:
-        tree = build_truncated(BuildingSpec(kind, args.p), n)
-    records = enumerate_ideals(inst, n, bound, tree)
+    records = enumerate_ideals(inst, n, bound, arithmetic_tree(inst, n, bound))
     request = {
         "subcommand": "enumerate",
         "case": args.case,
@@ -272,7 +256,7 @@ def cmd_enumerate(args) -> int:
                 "n": n,
                 "type": type_str(r.type_eps),
                 "contribution": "" if r.contribution is None else r.contribution,
-                "vertex": "" if r.vertex is None else _vertex_str(r.vertex),
+                "vertex": "" if r.vertex is None else str(r.vertex),
                 "distance": "" if r.distance_to_main is None else r.distance_to_main,
                 "principal": r.principal,
                 "lattice": str(r.lattice),
@@ -419,7 +403,7 @@ def cmd_tree(args) -> int:
         results = {
             "vertices": len(tree),
             "layer_sizes": {str(k): v for k, v in layer_sizes.items()},
-            "vertex_list": [_vertex_str(v) for v in tree.vertices],
+            "vertex_list": [str(v) for v in tree.vertices],
         }
         _emit(_json_text(_document(request, results)), args.output)
     else:
@@ -446,13 +430,6 @@ def _prime(text: str) -> int:
     value = int(text)
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
-    return value
-
-
-def _precision(text: str) -> int:
-    value = int(text)
-    if value < MIN_PRECISION:
-        raise argparse.ArgumentTypeError(f"must be >= {MIN_PRECISION}, got {value}")
     return value
 
 
@@ -499,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--p", type=_prime, required=True)
     p_enum.add_argument("-n", type=_nonnegative, required=True)
     p_enum.add_argument("--max-contribution", type=_nonnegative, required=True)
-    p_enum.add_argument("--precision", type=_precision, default=None)
     p_enum.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_enum.add_argument("--output", default=None)
     p_enum.set_defaults(func=cmd_enumerate)

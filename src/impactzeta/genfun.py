@@ -142,18 +142,6 @@ def _check_coverage(tree: TruncatedTree, v: VertexAddr, d: int):
         )
 
 
-def _distance_counts(
-    tree: TruncatedTree, v: VertexAddr, which: str
-) -> tuple[int, ...]:
-    """Vertices of the chosen height class at each BFS distance from v."""
-    layer, basin = tree.distance_profile(v)
-    if which == "layer":
-        return layer
-    if which == "basin":
-        return basin
-    raise ValueError(f"which must be 'layer' or 'basin', got {which!r}")
-
-
 def reachable_count_oracle(
     tree: TruncatedTree, v: VertexAddr, d: int, which: str = "layer"
 ) -> int:
@@ -162,17 +150,11 @@ def reachable_count_oracle(
     Sums the BFS distance histogram from v over d, d - 2, ..., d mod 2.
     """
     _check_coverage(tree, v, d)
-    counts = _distance_counts(tree, v, which)
+    if which not in ("layer", "basin"):
+        raise ValueError(f"which must be 'layer' or 'basin', got {which!r}")
+    layer, basin = tree.distance_profile(v)
+    counts = layer if which == "layer" else basin
     return sum(counts[d % 2 : d + 1 : 2]) if d >= 0 else 0
-
-
-def geodesic_count_oracle(
-    tree: TruncatedTree, v: VertexAddr, d: int, which: str = "layer"
-) -> int:
-    """BFS oracle for the exact-distance counts behind the geodesic flavor."""
-    _check_coverage(tree, v, d)
-    counts = _distance_counts(tree, v, which)
-    return counts[d] if 0 <= d < len(counts) else 0
 
 
 @dataclass(frozen=True)
@@ -215,23 +197,8 @@ def genfun_record(spec: BuildingSpec, n: int) -> GenFunRecord:
     )
 
 
-def check_recurrence(spec: BuildingSpec, n_max: int) -> list[CheckResult]:
-    """Verify basin(n) = layer(n) + X * basin(n-1) for 1 <= n <= n_max."""
-    results = []
-    for n in range(1, n_max + 1):
-        lhs = basin_genfun(spec, n)
-        rhs = layer_genfun(spec, n) + x_pow(1) * basin_genfun(spec, n - 1)
-        ok = lhs == rhs
-        results.append(
-            CheckResult(
-                f"basin-recurrence {spec.kind.value} m={spec.m} n={n}", ok
-            )
-        )
-    return results
-
-
 def check_recurrence_q(kind: BasinKind, n_max: int) -> list[CheckResult]:
-    """Same recurrence with the branching parameter kept symbolic."""
+    """Verify basin(n) = layer(n) + X * basin(n-1) for 1 <= n <= n_max, symbolically."""
     results = []
     for n in range(1, n_max + 1):
         lhs = basin_genfun_q(kind, n)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .building import (
@@ -54,6 +54,9 @@ from .report import CheckResult
 MIN_PRECISION = 4
 VAL_GUARD = 2
 MAX_ENUMERATED_LATTICES = 2_000_000
+# Entries kept by each per-instance cache below (level-0 units, apartment
+# classes, enumerations).
+CACHE_SIZE = 256
 
 
 def is_prime(p: int) -> bool:
@@ -163,25 +166,8 @@ class QuadElem:
         c = self.conj()
         return QuadElem(self.inst, c.x * ninv, c.y * ninv)
 
-    def components(self) -> tuple[int, int]:
-        """Split case: the pair (x + y, x + p*y) under the factor map."""
-        if self.inst.tag is not BasinKind.SPLIT:
-            raise ValueError("component coordinates exist only in the split case")
-        mod = self.inst.modulus
-        return ((self.x + self.y) % mod, (self.x + self.inst.p * self.y) % mod)
-
     def __str__(self) -> str:
         return f"{self.x} + {self.y}*D"
-
-
-def from_components(inst: CaseInstance, a1: int, a2: int) -> QuadElem:
-    """Split case: the element with factor components (a1, a2)."""
-    if inst.tag is not BasinKind.SPLIT:
-        raise ValueError("component coordinates exist only in the split case")
-    inv = pow(inst.p - 1, -1, inst.modulus)
-    y = (a2 - a1) * inv
-    x = a1 - y
-    return QuadElem(inst, x, y)
 
 
 def _val(p: int, r: int, cap: int) -> int:
@@ -193,32 +179,6 @@ def _val(p: int, r: int, cap: int) -> int:
         r //= p
         v += 1
     return min(v, cap)
-
-
-def _guarded(inst: CaseInstance, v: int) -> int:
-    if v >= inst.precision - VAL_GUARD:
-        raise PrecisionExhausted(
-            f"valuation {v} is not certified at precision {inst.precision}"
-        )
-    return v
-
-
-def elem_type(inst: CaseInstance, a: QuadElem) -> TypeVector:
-    """The type of a nonzero element: uniformizer valuation(s).
-
-    Ramified: val_pi(x + y*Delta) = min(2 val(x), 2 val(y) + 1).
-    Unramified: min(val(x), val(y)).  Split: componentwise val_p.
-    """
-    N = inst.precision
-    p = inst.p
-    if inst.tag is BasinKind.SPLIT:
-        a1, a2 = a.components()
-        return (_guarded(inst, _val(p, a1, N)), _guarded(inst, _val(p, a2, N)))
-    vx = _val(p, a.x, N)
-    vy = _val(p, a.y, N)
-    if inst.tag is BasinKind.RAMIFIED:
-        return _guarded(inst, min(2 * vx, 2 * vy + 1))
-    return _guarded(inst, min(vx, vy))
 
 
 def in_order(inst: CaseInstance, n: int, a: QuadElem) -> bool:
@@ -241,7 +201,7 @@ def slope_map(inst: CaseInstance, n: int, u: QuadElem) -> int:
     return (z * winv) % inst.p
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
     """Coset representatives of O_0^*/O_1^*.
 
@@ -404,24 +364,7 @@ def second_anchor_lattice(p: int) -> LatticeHNF:
     return LatticeHNF(p, 1, 0, 0)
 
 
-def mult_matrix(inst: CaseInstance, a: QuadElem) -> tuple[int, int, int, int]:
-    """Matrix of multiplication by a on {1, Delta} coordinates (columns)."""
-    x, y = a.x, a.y
-    return (x, (-inst.delta * y) % inst.modulus, y, (x + inst.tau * y) % inst.modulus)
-
-
-def lattice_class_of_element_action(inst: CaseInstance, a: QuadElem, base: LatticeHNF) -> LatticeHNF:
-    """Homothety class of a * (lattice spanned by base's columns)."""
-    m00, m01, m10, m11 = mult_matrix(inst, a)
-    b00, b01, b10, b11 = base.matrix()
-    c00 = m00 * b00 + m01 * b10
-    c10 = m10 * b00 + m11 * b10
-    c01 = m00 * b01 + m01 * b11
-    c11 = m10 * b01 + m11 * b11
-    return class_rep(hnf_reduce(inst.p, c00, c01, c10, c11, inst.precision))
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def apartment_lattice(inst: CaseInstance, j: int) -> LatticeHNF:
     """Split case: the class of the apartment vertex at position j.
 
@@ -672,15 +615,19 @@ def _find_generator(
     return None
 
 
-@functools.lru_cache(maxsize=None)
+def enumeration_precision(n: int, max_contribution: int) -> int:
+    """Working precision that certifies the ideals of O_n up to the bound."""
+    return max(MIN_PRECISION, max_contribution + 2 * n + 2)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _enumerate_core(
     inst: CaseInstance, n: int, max_contribution: int
 ) -> tuple[IdealRecord, ...]:
     p = inst.p
-    if inst.precision < max_contribution + 2 * n + 2:
-        raise PrecisionTooSmall(
-            f"need precision >= {max_contribution + 2 * n + 2} for this enumeration"
-        )
+    need = enumeration_precision(n, max_contribution)
+    if inst.precision < need:
+        raise PrecisionTooSmall(f"need precision >= {need} for this enumeration")
     total = sum(
         p**a for k in range(max_contribution + 1) for a in range(k + 1)
     )
@@ -742,7 +689,12 @@ def _confirm_generator(inst: CaseInstance, n: int, L: LatticeHNF, u: int, v: int
 
 
 def _exact_type(inst: CaseInstance, x: int, y: int) -> TypeVector:
-    """Type of x + y*Delta from exact integer coordinates."""
+    """Type of a nonzero x + y*Delta from exact integer coordinates.
+
+    Ramified: val_pi = min(2 val(x), 2 val(y) + 1).  Unramified:
+    min(val(x), val(y)).  Split: val_p of each factor component, (x + y)
+    and (x + p*y).
+    """
     p = inst.p
     cap = 8 * inst.precision
     if inst.tag is BasinKind.SPLIT:
@@ -779,38 +731,12 @@ def enumerate_ideals(
     if tree is None:
         return list(core)
     atlas = ClassAtlas(inst, tree)
-    out = []
-    for rec in core:
-        if not rec.principal:
-            out.append(rec)
-            continue
-        addr = atlas.locate(_ideal_class(inst, n, rec.lattice))
-        out.append(
-            IdealRecord(
-                rec.lattice,
-                rec.n,
-                rec.index_exponent,
-                True,
-                rec.generator,
-                rec.type_eps,
-                rec.contribution,
-                addr,
-                rec.distance_to_main,
-            )
-        )
-    return out
-
-
-def ideal_vertex(
-    inst: CaseInstance,
-    rec: IdealRecord,
-    tree: TruncatedTree,
-    atlas: Optional[ClassAtlas] = None,
-) -> VertexAddr:
-    """Tree address of the homothety class of an enumerated ideal."""
-    if atlas is None:
-        atlas = ClassAtlas(inst, tree)
-    return atlas.locate(_ideal_class(inst, rec.n, rec.lattice))
+    return [
+        replace(rec, vertex=atlas.locate(_ideal_class(inst, n, rec.lattice)))
+        if rec.principal
+        else rec
+        for rec in core
+    ]
 
 
 def traveling(inst: CaseInstance, n: int, J: LatticeHNF) -> LatticeHNF:

@@ -55,9 +55,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_q_free(self) -> bool:
-        return all(qe == 0 for qe, _, _ in self.terms)
-
     def x_degree(self) -> int:
         """Degree in X; -1 for the zero polynomial."""
         return max((xe for _, xe, _ in self.terms), default=-1)

@@ -32,7 +32,6 @@ from .genfun import (
     check_recurrence_q,
     layer_genfun_q,
     oracle_series_check,
-    reachable_count_oracle,
     way_out_vertex,
 )
 from .orders import (
@@ -46,16 +45,16 @@ from .orders import (
     unit_index,
 )
 from .padic import (
-    MIN_PRECISION,
     coset_reps,
     enumerate_ideals,
+    enumeration_precision,
     make_case,
     multiplier_principal,
     source_and_distance_check,
     traveling,
 )
-from .poly import ONE, BiPoly, RationalFn, series_expand, x_pow
-from .report import CheckResult
+from .poly import ONE, BiPoly, RationalFn, x_pow
+from .report import CheckResult, all_passed
 
 ALL_KINDS = (BasinKind.RAMIFIED, BasinKind.UNRAMIFIED, BasinKind.SPLIT)
 # Enumeration grid: residue characteristics exercised per case.
@@ -83,7 +82,9 @@ def oracle_suite(
     results: list[CheckResult] = []
     for kind, m in product(ALL_KINDS, ms):
         spec = BuildingSpec(kind, m)
-        halfwidth = d_max + 1 if kind is BasinKind.SPLIT else 0
+        # Room for walks of length d_max, and at least the radius, which
+        # build_truncated requires of a split truncation.
+        halfwidth = max(d_max + 1, n_max) if kind is BasinKind.SPLIT else 0
         tree = build_truncated(spec, n_max, halfwidth)
         for n in range(n_max + 1):
             results.extend(oracle_series_check(tree, n, d_max))
@@ -95,6 +96,8 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
 
     On the line, the vertex-basin layer function is (1 + X^{2n})/(1 - X^2)
     and the edge-basin basin function is (1 + X^2 + ... + X^{2n})/(1 - X).
+    Each ``line oracle`` check folds the per-d checks of
+    :func:`oracle_series_check` on the line tree into one.
     """
     results: list[CheckResult] = []
     one_minus_x2 = ONE - x_pow(2)
@@ -118,18 +121,7 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
     for kind in (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED):
         tree = build_line_tree(kind, n_max)
         for n in range(n_max + 1):
-            layer_series = series_expand(
-                layer_genfun_q(kind, n).subs_q(1), d_max
-            ).at_q(0)
-            basin_series = series_expand(
-                basin_genfun_q(kind, n).subs_q(1), d_max
-            ).at_q(0)
-            v = way_out_vertex(tree.spec, n)
-            ok = all(
-                layer_series[d] == reachable_count_oracle(tree, v, d, "layer")
-                and basin_series[d] == reachable_count_oracle(tree, v, d, "basin")
-                for d in range(d_max + 1)
-            )
+            ok = all_passed(oracle_series_check(tree, n, d_max))
             results.append(CheckResult(f"line oracle {kind.value} n={n}", ok))
     return results
 
@@ -146,7 +138,8 @@ def _possible_types(case, bound: int):
     ]
 
 
-def _tree_for(inst, n: int, d_bound: int):
+def arithmetic_tree(inst, n: int, d_bound: int):
+    """The truncation that places the ideals of O_n up to the bound."""
     if inst.tag is BasinKind.SPLIT:
         halfwidth = max(d_bound - 2 * n, n)
         return build_truncated(BuildingSpec(inst.tag, inst.p), n, halfwidth)
@@ -159,7 +152,7 @@ def arithmetic_suite(
     d_bound: int = 6,
 ) -> list[CheckResult]:
     primes = primes or DEFAULT_PRIMES
-    precision = max(MIN_PRECISION, d_bound + 2 * n_max + 2)
+    precision = enumeration_precision(n_max, d_bound)
     results: list[CheckResult] = []
     for kind in ALL_KINDS:
         case = extension_case(kind)
@@ -177,7 +170,7 @@ def arithmetic_suite(
                         f"enumerated {len(reps)}, formula {want}",
                     )
                 )
-                tree = _tree_for(inst, n, d_bound)
+                tree = arithmetic_tree(inst, n, d_bound)
                 records = enumerate_ideals(inst, n, d_bound, tree)
                 principal = [r for r in records if r.principal]
                 # (b) type histogram against the counting rules.
@@ -255,7 +248,7 @@ def arithmetic_suite(
                 results.append(
                     CheckResult(
                         f"source-distance {label} n={n}",
-                        all(c.passed for c in source_checks),
+                        all_passed(source_checks),
                         f"{len(source_checks)} vertices checked",
                     )
                 )

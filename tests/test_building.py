@@ -12,7 +12,6 @@ from impactzeta.building import (
     build_truncated,
     distance,
     first_arity,
-    height,
     layer_members,
     way_out_vertex,
 )
@@ -53,13 +52,19 @@ def test_vertex_cap(monkeypatch):
 
 
 def test_heights():
+    # The height of an address is its graph distance to the basin edge.
     tree = build_truncated(BuildingSpec(BasinKind.RAMIFIED, 2), 2)
-    assert height(tree, VertexAddr(0)) == 0
-    assert height(tree, VertexAddr(1)) == 0
-    assert height(tree, VertexAddr(1, (1,))) == 1
-    assert height(tree, VertexAddr(0, (0, 1))) == 2
+    for v, h in [
+        (VertexAddr(0), 0),
+        (VertexAddr(1), 0),
+        (VertexAddr(1, (1,)), 1),
+        (VertexAddr(0, (0, 1)), 2),
+    ]:
+        dist = tree.bfs_distances(v)
+        assert v.height == h == min(dist[VertexAddr(0)], dist[VertexAddr(1)])
+    assert VertexAddr(7) not in tree
     with pytest.raises(UnknownVertex):
-        height(tree, VertexAddr(7))
+        tree.neighbors(VertexAddr(7))
 
 
 def test_distance_examples():
@@ -89,7 +94,7 @@ def test_way_out_vertices():
     for i, j in itertools.combinations(range(5), 2):
         oi, oj = way_out_vertex(spec, i), way_out_vertex(spec, j)
         assert distance(tree, oi, oj) == abs(i - j)
-        assert height(tree, oi) == i
+        assert oi in tree and oi.height == i
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 
 from impactzeta.cli import main, poly_from_json, poly_to_json
 from impactzeta.orders import full_zeta, all_cases
+from impactzeta.padic import enumeration_precision
 from impactzeta.poly import ONE, Q, q_pow, x_pow
 
 
@@ -127,23 +128,31 @@ def test_enumerate_split_base_counts(capsys):
     assert by_c == {0: 1, 1: 2, 2: 3}
 
 
-def test_enumerate_precision_failure_exit_code(capsys):
-    code, _, err = run(
-        capsys,
-        "enumerate",
-        "--case",
-        "ramified",
-        "--p",
-        "3",
-        "-n",
-        "1",
-        "--max-contribution",
-        "4",
-        "--precision",
-        "5",
+def test_enumerate_derives_its_precision(capsys):
+    code, out, _ = run(
+        capsys, "enumerate", "--case", "ramified", "--p", "3", "-n", "1",
+        "--max-contribution", "4", "--format", "json",
     )
-    assert code == 1
-    assert "error" in err
+    assert code == 0
+    assert json.loads(out)["request"]["precision"] == enumeration_precision(1, 4) == 8
+
+
+def test_enumerate_has_no_precision_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--case", "ramified", "--p", "3", "-n", "1",
+              "--max-contribution", "4", "--precision", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
+
+
+def test_verify_oracle_with_max_n_beyond_max_d(capsys):
+    # The split truncation must reach the radius even when d_max + 1 < n_max.
+    code, out, err = run(
+        capsys, "verify", "--suite", "oracle", "--max-n", "4", "--max-d", "2",
+        "--format", "json",
+    )
+    assert code == 0, err
+    assert json.loads(out)["results"] == {"checks": 90, "passed": 90, "failed": 0}
 
 
 def test_tree_dot(capsys):
@@ -423,11 +432,6 @@ def test_negative_heights_and_radii_rejected_at_parse_time(capsys, argv):
             "4 is not prime",
         ),
         (["verify", "--suite", "arithmetic", "--p", "4"], "4 is not prime"),
-        (
-            ["enumerate", "--case", "ramified", "--p", "3", "-n", "1",
-             "--max-contribution", "3", "--precision", "-1"],
-            "must be >= 4, got -1",
-        ),
     ],
 )
 def test_non_prime_and_low_precision_rejected_at_parse_time(capsys, argv, message):

@@ -9,12 +9,14 @@ from impactzeta.errors import (
     NotAUnit,
     NotInOrderUnit,
     OutsideTruncation,
-    PrecisionExhausted,
     PrecisionTooSmall,
     UnsupportedPrime,
 )
 from impactzeta.orders import extension_case, principal_count_series, unit_index
 from impactzeta.padic import (
+    CACHE_SIZE,
+    _enumerate_core,
+    _exact_type,
     _find_generator,
     ClassAtlas,
     LatticeHNF,
@@ -22,18 +24,14 @@ from impactzeta.padic import (
     apartment_lattice,
     class_rep,
     coset_reps,
-    elem_type,
     enumerate_ideals,
-    from_components,
+    enumeration_precision,
     hnf_reduce,
-    ideal_vertex,
     in_order_unit,
     is_ideal,
-    lattice_class_of_element_action,
     lattice_distance,
     level0_reps,
     make_case,
-    mult_matrix,
     multiplier_principal,
     order_lattice,
     second_anchor_lattice,
@@ -114,22 +112,11 @@ def test_inverse_requires_unit(ram3):
 
 
 def test_elem_type_examples(ram3, unram3, split3):
-    assert elem_type(split3, from_components(split3, 3, 9)) == (1, 2)
-    assert elem_type(ram3, QuadElem(ram3, 0, 1)) == 1
-    assert elem_type(unram3, QuadElem(unram3, 3, 3)) == 1
-    assert elem_type(ram3, QuadElem(ram3, 9, 0)) == 4
-
-
-def test_components_roundtrip(split3):
-    a = from_components(split3, 7, 11)
-    assert a.components() == (7, 11)
-
-
-def test_elem_type_precision_guard(ram3):
-    with pytest.raises(PrecisionExhausted):
-        elem_type(ram3, QuadElem(ram3, 3**10, 0))
-    with pytest.raises(PrecisionExhausted):
-        elem_type(ram3, QuadElem(ram3, 0, 0))
+    # 3*Delta in the split case has factor components (0 + 3, 0 + 3*3).
+    assert _exact_type(split3, 0, 3) == (1, 2)
+    assert _exact_type(ram3, 0, 1) == 1
+    assert _exact_type(unram3, 3, 3) == 1
+    assert _exact_type(ram3, 9, 0) == 4
 
 
 def test_enumeration_overflow_guard():
@@ -237,31 +224,37 @@ def test_apartment_lattice_positions(split3):
             assert d == abs(i - j)
 
 
+def _acted_class(inst, u, base):
+    """Homothety class of u * base, multiplying each column of base by u."""
+    b00, b01, b10, b11 = base.matrix()
+    c0 = u * QuadElem(inst, b00, b10)
+    c1 = u * QuadElem(inst, b01, b11)
+    return class_rep(hnf_reduce(inst.p, c0.x, c1.x, c0.y, c1.y, inst.precision))
+
+
 def test_unit_action_fixes_basin(ram3, unram3, split3):
-    # Multiplication matrices of the filtration units have unit determinant
-    # and fix the anchor classes.
+    # The filtration units have unit norm (the determinant of multiplication
+    # by u) and fix the anchor classes.
     for inst in (ram3, unram3, split3):
         o0 = standard_lattice(inst.p)
         for level in (0, 1, 2):
             size = len(level0_reps(inst)) if level == 0 else inst.p
             for t in range(size):
                 u = unit_rep(inst, level, t)
-                m00, m01, m10, m11 = mult_matrix(inst, u)
-                det = m00 * m11 - m01 * m10
-                assert det % inst.p != 0
-                acted = lattice_class_of_element_action(inst, u, o0)
+                assert u.norm() % inst.p != 0
+                acted = _acted_class(inst, u, o0)
                 assert lattice_distance(inst, acted, o0) == 0
     # Ramified units also fix the second anchor; split units fix every
     # apartment class.
     pi = second_anchor_lattice(ram3.p)
     for t in range(3):
         u = unit_rep(ram3, 0, t)
-        acted = lattice_class_of_element_action(ram3, u, pi)
+        acted = _acted_class(ram3, u, pi)
         assert lattice_distance(ram3, acted, pi) == 0
     for j in (-2, 1, 3):
         target = apartment_lattice(split3, j)
         u = unit_rep(split3, 1, 1)
-        acted = lattice_class_of_element_action(split3, u, target)
+        acted = _acted_class(split3, u, target)
         assert lattice_distance(split3, acted, target) == 0
 
 
@@ -297,6 +290,16 @@ def test_enumerate_histogram_unramified():
 def test_enumerate_precision_guard(ram3):
     with pytest.raises(PrecisionTooSmall):
         enumerate_ideals(ram3, 2, 12)
+    need = enumeration_precision(1, 3)
+    assert enumerate_ideals(make_case(RAM, 2, need), 1, 3)
+    with pytest.raises(PrecisionTooSmall):
+        enumerate_ideals(make_case(RAM, 2, need - 1), 1, 3)
+
+
+def test_caches_are_bounded():
+    for cached in (level0_reps, apartment_lattice, _enumerate_core):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+    assert isinstance(CACHE_SIZE, int)
 
 
 def test_enumerate_series_match(ram3, unram3, split3):
@@ -444,7 +447,8 @@ def test_ideal_vertex_of_main_order(ram3):
     on = [r for r in records if r.principal and r.type_eps == 0]
     assert len(on) == 1
     assert on[0].vertex == way_out_vertex(tree.spec, 1)
-    assert ideal_vertex(ram3, on[0], tree) == on[0].vertex
+    # O_1 in {1, Delta} coordinates is the order lattice of level 1.
+    assert ClassAtlas(ram3, tree).locate(order_lattice(3, 1)) == on[0].vertex
 
 
 def test_split_high_type_vertex(split3):

@@ -8,12 +8,10 @@ adj(M) * w have valuation at least val(det M).
 from hypothesis import assume, given, settings, strategies as st
 
 from impactzeta.building import BasinKind
-from impactzeta.errors import PrecisionExhausted
 from impactzeta.padic import (
     LatticeHNF,
-    QuadElem,
+    _exact_type,
     class_rep,
-    elem_type,
     hnf_exact,
     lattice_distance,
     make_case,
@@ -106,16 +104,16 @@ def test_type_is_additive_on_products(kind, pidx, x1, y1, x2, y2):
     p = (2, 3, 5)[pidx]
     if kind is BasinKind.UNRAMIFIED and p == 2:
         p = 3
+    # With nonnegative coordinates a nonzero element also has nonzero split
+    # components (x + y, x + p*y), so every type below is finite.
+    assume((x1, y1) != (0, 0) and (x2, y2) != (0, 0))
     inst = make_case(kind, p, 14)
-    a = QuadElem(inst, x1, y1)
-    b = QuadElem(inst, x2, y2)
-    try:
-        ta = elem_type(inst, a)
-        tb = elem_type(inst, b)
-        tab = elem_type(inst, a * b)
-    except PrecisionExhausted:
-        assume(False)
-        return
+    # (x1 + y1 D)(x2 + y2 D) with D^2 = tau D - delta, in exact integers.
+    x = x1 * x2 - inst.delta * y1 * y2
+    y = x1 * y2 + y1 * x2 + inst.tau * y1 * y2
+    ta = _exact_type(inst, x1, y1)
+    tb = _exact_type(inst, x2, y2)
+    tab = _exact_type(inst, x, y)
     if kind is BasinKind.SPLIT:
         assert tab == (ta[0] + tb[0], ta[1] + tb[1])
     else:
