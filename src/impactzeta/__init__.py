@@ -4,7 +4,7 @@ The package computes walk-count generating functions of homogeneous trees
 carrying one of three basin shapes (vertex, edge, apartment), the ideal
 zeta functions of the matching main sequence of quadratic orders, and
 checks the two against each other symbolically and against brute-force
-oracles (truncated-tree BFS and finite-precision p-adic ideal
+oracles (truncated-tree BFS and exact-integer p-adic ideal
 enumeration).
 """
 

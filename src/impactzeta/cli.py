@@ -36,7 +36,7 @@ from .genfun import (
     way_out_vertex,
 )
 from .orders import extension_case, full_zeta
-from .padic import enumerate_ideals, enumeration_precision, is_prime, make_case
+from .padic import enumerate_ideals, is_prime, make_case
 from .poly import BiPoly, RationalFn, series_expand
 from .report import CheckResult
 from .suites import (
@@ -228,8 +228,7 @@ def cmd_counts(args) -> int:
 def cmd_enumerate(args) -> int:
     kind = _KIND_NAMES[args.case]
     n, bound = args.n, args.max_contribution
-    precision = enumeration_precision(n, bound)
-    inst = make_case(kind, args.p, precision)
+    inst = make_case(kind, args.p)
     records = enumerate_ideals(inst, n, bound, arithmetic_tree(inst, n, bound))
     request = {
         "subcommand": "enumerate",
@@ -237,7 +236,6 @@ def cmd_enumerate(args) -> int:
         "p": args.p,
         "n": n,
         "max_contribution": bound,
-        "precision": precision,
     }
 
     def type_str(t) -> str:
@@ -513,7 +511,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # Flag combinations the parser cannot see (e.g. halfwidth < radius).
+        # Flag combinations the parser cannot see (e.g. halfwidth < radius,
+        # or p = 2 with the unramified case).
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ImpactZetaError as exc:

@@ -37,20 +37,11 @@ class ArityMismatch(ImpactZetaError):
     """A type vector has the wrong number of components for the case."""
 
 
-class UnsupportedPrime(ImpactZetaError):
-    """The requested residue characteristic is not supported."""
+class UnsupportedPrime(ImpactZetaError, ValueError):
+    """The requested residue characteristic is not supported.
 
-
-class PrecisionTooSmall(ImpactZetaError):
-    """The working precision cannot certify the requested computation."""
-
-
-class NotAUnit(ImpactZetaError):
-    """Inversion was requested for a non-invertible element."""
-
-
-class PrecisionExhausted(ImpactZetaError):
-    """A valuation ran into the guard margin of the working precision."""
+    Also a ValueError: it names an invalid combination of arguments.
+    """
 
 
 class NotInOrderUnit(ImpactZetaError):

@@ -1,4 +1,4 @@
-"""Finite-precision quadratic algebras over Z_p and the lattice-side oracle.
+"""Quadratic algebras over Z_p in exact integers, and the lattice-side oracle.
 
 Everything here is desk-scale verification machinery.  A case instance
 fixes a quadratic algebra O_K[Delta] with Delta^2 = tau*Delta - delta:
@@ -7,9 +7,10 @@ fixes a quadratic algebra O_K[Delta] with Delta^2 = tau*Delta - delta:
 * unramified: Delta^2 = epsilon     (smallest positive nonresidue mod p)
 * split:      Delta^2 = (p+1)Delta - p,  realizing Delta = (1, p) in K x K
 
-Elements x + y*Delta are held as residue pairs mod p^N.  Rank-2 lattices
-are 2x2 column spans over Z_p in upper-triangular Hermite form; homothety
-classes (vertices of the degree-(p+1) tree) are primitive Hermite forms.
+Elements x + y*Delta are held as exact integer pairs.  Rank-2 lattices
+are 2x2 column spans over Z_p in upper-triangular Hermite form, computed
+from exact integer columns; homothety classes (vertices of the
+degree-(p+1) tree) are primitive Hermite forms.
 Tree distance between classes is the gap of the elementary-divisor
 valuations of the change-of-basis matrix.
 
@@ -41,18 +42,13 @@ from .building import (
 from .errors import (
     EnumerationOverflow,
     NotAnIdeal,
-    NotAUnit,
     NotInOrderUnit,
     OutsideTruncation,
-    PrecisionExhausted,
-    PrecisionTooSmall,
     UnsupportedPrime,
 )
 from .orders import ExtensionCase, TypeVector, contribution, extension_case
 from .report import CheckResult
 
-MIN_PRECISION = 4
-VAL_GUARD = 2
 MAX_ENUMERATED_LATTICES = 2_000_000
 # Entries kept by each per-instance cache below (level-0 units, apartment
 # classes, enumerations).
@@ -80,62 +76,42 @@ def _smallest_nonresidue(p: int) -> int:
 
 @dataclass(frozen=True)
 class CaseInstance:
-    """A concrete (case, p, precision) quadratic algebra with fixed Delta."""
+    """A concrete (case, p) quadratic algebra with fixed Delta."""
 
     case: ExtensionCase
     p: int
-    precision: int
     tau: int
     delta: int
     epsilon: Optional[int] = None
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
 
     @property
     def tag(self) -> BasinKind:
         return self.case.tag
 
 
-def make_case(tag: BasinKind, p: int, precision: int) -> CaseInstance:
+def make_case(tag: BasinKind, p: int) -> CaseInstance:
     if not is_prime(p):
         raise UnsupportedPrime(f"{p} is not prime")
-    if precision < MIN_PRECISION:
-        raise PrecisionTooSmall(f"need precision >= {MIN_PRECISION}")
     case = extension_case(tag)
     if tag is BasinKind.RAMIFIED:
-        return CaseInstance(case, p, precision, tau=0, delta=p)
+        return CaseInstance(case, p, tau=0, delta=p)
     if tag is BasinKind.UNRAMIFIED:
         if p == 2:
             raise UnsupportedPrime("p = 2 unramified is not supported")
         eps = _smallest_nonresidue(p)
-        return CaseInstance(case, p, precision, tau=0, delta=-eps, epsilon=eps)
-    return CaseInstance(case, p, precision, tau=p + 1, delta=p)
+        return CaseInstance(case, p, tau=0, delta=-eps, epsilon=eps)
+    return CaseInstance(case, p, tau=p + 1, delta=p)
 
 
 @dataclass(frozen=True)
 class QuadElem:
-    """x + y*Delta with both coordinates reduced mod p^N."""
+    """x + y*Delta with exact integer coordinates."""
 
     inst: CaseInstance = field(repr=False)
     x: int
     y: int
 
-    def __post_init__(self):
-        mod = self.inst.modulus
-        object.__setattr__(self, "x", self.x % mod)
-        object.__setattr__(self, "y", self.y % mod)
-
-    def __add__(self, other: QuadElem) -> QuadElem:
-        return QuadElem(self.inst, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: QuadElem) -> QuadElem:
-        return QuadElem(self.inst, self.x - other.x, self.y - other.y)
-
-    def __mul__(self, other) -> QuadElem:
-        if isinstance(other, int):
-            return QuadElem(self.inst, self.x * other, self.y * other)
+    def __mul__(self, other: QuadElem) -> QuadElem:
         tau, delta = self.inst.tau, self.inst.delta
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
         return QuadElem(
@@ -144,41 +120,29 @@ class QuadElem:
             x1 * y2 + y1 * x2 + tau * y1 * y2,
         )
 
-    __rmul__ = __mul__
-
     def conj(self) -> QuadElem:
         """The algebra conjugate: x + y*(tau - Delta)."""
         return QuadElem(self.inst, self.x + self.inst.tau * self.y, -self.y)
 
     def norm(self) -> int:
-        """N(x + y*Delta) = x^2 + tau*x*y + delta*y^2, as a residue."""
+        """N(x + y*Delta) = x^2 + tau*x*y + delta*y^2."""
         tau, delta = self.inst.tau, self.inst.delta
-        return (self.x * self.x + tau * self.x * self.y + delta * self.y * self.y) % self.inst.modulus
+        return self.x * self.x + tau * self.x * self.y + delta * self.y * self.y
 
     def is_unit(self) -> bool:
         return self.norm() % self.inst.p != 0
-
-    def inverse(self) -> QuadElem:
-        n = self.norm()
-        if n % self.inst.p == 0:
-            raise NotAUnit(f"{self} has non-unit norm")
-        ninv = pow(n, -1, self.inst.modulus)
-        c = self.conj()
-        return QuadElem(self.inst, c.x * ninv, c.y * ninv)
 
     def __str__(self) -> str:
         return f"{self.x} + {self.y}*D"
 
 
-def _val(p: int, r: int, cap: int) -> int:
-    """p-adic valuation of a residue; `cap` stands in for `at least cap`."""
-    if r == 0:
-        return cap
+def _val(p: int, r: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
     while r % p == 0:
         r //= p
         v += 1
-    return min(v, cap)
+    return v
 
 
 def in_order(inst: CaseInstance, n: int, a: QuadElem) -> bool:
@@ -208,7 +172,9 @@ def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
     1 + p*O_0 lies in O_1^*, so every coset meets the units x + y*Delta with
     0 <= x, y < p.  The search scans all of them and keeps a unit when its
     quotient against every kept one fails to land in O_1^*, with no target
-    count: the number kept is the index [O_0^* : O_1^*].
+    count: the number kept is the index [O_0^* : O_1^*].  The quotient u/v
+    is tested as u*conj(v) = (u/v)*N(v): N(v) is a p-adic unit, so scaling
+    by it changes neither membership in O_1 nor being a unit.
     """
     p = inst.p
     reps: list[QuadElem] = []
@@ -217,7 +183,7 @@ def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
             cand = QuadElem(inst, x, y)
             if not cand.is_unit():
                 continue
-            if any(in_order_unit(inst, 1, cand * r.inverse()) for r in reps):
+            if any(in_order_unit(inst, 1, cand * r.conj()) for r in reps):
                 continue
             reps.append(cand)
     return tuple(reps)
@@ -237,7 +203,8 @@ def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
 
     The factors run over levels n-d .. n-1 (level-0 factors from the
     enumerated base set).  Pairwise inequivalence is verified by division:
-    u * v^{-1} must not be a unit of O_n.
+    u * v^{-1}, tested as u * conj(v) (see level0_reps), must not be a unit
+    of O_n.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
@@ -258,7 +225,7 @@ def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
         reps.append(u)
     for i, u in enumerate(reps):
         for v in reps[:i]:
-            if in_order_unit(inst, n, u * v.inverse()):
+            if in_order_unit(inst, n, u * v.conj()):
                 raise AssertionError("coset representatives are not inequivalent")
     return reps
 
@@ -294,58 +261,29 @@ class LatticeHNF:
         return f"[[{self.p}^{self.a_exp},{self.c}],[0,{self.p}^{self.b_exp}]]"
 
 
-def hnf_reduce(p: int, m00: int, m01: int, m10: int, m11: int, precision: int) -> LatticeHNF:
-    """Canonical Hermite form of a full-rank integer column span over Z_p.
+def hnf(p: int, m00: int, m01: int, m10: int, m11: int) -> LatticeHNF:
+    """Hermite form of the Z_p-span of the integer columns (m00, m10), (m01, m11).
 
-    Column operations only; valuations are extracted from residues mod p^W
-    and must clear the guard margin.
+    Column operations only (Cohen, GTM 138, section 2.4): the bottom entry of
+    least valuation, p^b*u, becomes the pivot p^b; clearing the other bottom
+    entry leaves a first column of valuation val(det) - b.
     """
-    W = precision
-    mod = p**W
-    m00, m01, m10, m11 = m00 % mod, m01 % mod, m10 % mod, m11 % mod
-    v0 = _val(p, m10, W)
-    v1 = _val(p, m11, W)
-    if v0 < v1:
-        m00, m01 = m01, m00
-        m10, m11 = m11, m10
-        v0, v1 = v1, v0
-    if v1 >= W - VAL_GUARD:
-        raise PrecisionExhausted("bottom row vanishes at working precision")
-    unit = m11 // p**v1
-    scale = p ** (W - v1)
-    uinv = pow(unit % scale, -1, scale)
-    f = ((m10 // p**v1) * uinv) % scale
-    m00 = (m00 - f * m01) % mod
-    # column 0 is now (m00, 0); normalize column 1 to (c, p^b).
-    b = v1
-    c_raw = (m01 * uinv) % mod
-    a = _val(p, m00, W)
-    if a >= W - VAL_GUARD:
-        raise PrecisionExhausted("pivot vanishes at working precision")
-    # c is only correct mod p^{W-b}, so the whole determinant valuation
-    # must clear the guard, not just each diagonal exponent.
-    if a + b > W - VAL_GUARD:
-        raise PrecisionExhausted("determinant valuation exhausts working precision")
-    return LatticeHNF(p, a, c_raw % p**a, b)
-
-
-def hnf_exact(
-    p: int, m00: int, m01: int, m10: int, m11: int, det_val_bound: int
-) -> LatticeHNF:
-    """Hermite form for exact integer columns.
-
-    With exact entries the working precision is free, so it is derived from
-    a bound on the determinant valuation (every valuation the reduction
-    extracts is at most that).
-    """
-    return hnf_reduce(p, m00, m01, m10, m11, det_val_bound + VAL_GUARD + 2)
+    det = m00 * m11 - m01 * m10
+    if det == 0:
+        raise ValueError("the columns do not span a full-rank lattice")
+    if m11 == 0 or (m10 != 0 and _val(p, m10) < _val(p, m11)):
+        m00, m01, m10, m11 = m01, m00, m11, m10
+    b = _val(p, m11)
+    a = _val(p, det) - b
+    pa = p**a
+    return LatticeHNF(p, a, m01 * pow(m11 // p**b, -1, pa) % pa, b)
 
 
 def class_rep(L: LatticeHNF) -> LatticeHNF:
     """Primitive representative of the homothety class (vertex) of L."""
     vals = [L.a_exp, L.b_exp]
     if L.c:
-        vals.append(_val(L.p, L.c, L.a_exp))
+        vals.append(_val(L.p, L.c))
     v = min(vals)
     return LatticeHNF(L.p, L.a_exp - v, L.c // L.p**v, L.b_exp - v)
 
@@ -369,8 +307,7 @@ def apartment_lattice(inst: CaseInstance, j: int) -> LatticeHNF:
     """Split case: the class of the apartment vertex at position j.
 
     Position j is the class of (1, p^j) * O_0 under the factor coordinates;
-    scaling makes both entries integral for either sign of j, and the
-    element's norm has valuation |j|, which bounds the Hermite reduction.
+    scaling makes both entries integral for either sign of j.
     """
     if inst.tag is not BasinKind.SPLIT:
         raise ValueError("apartment lattices exist only in the split case")
@@ -378,12 +315,7 @@ def apartment_lattice(inst: CaseInstance, j: int) -> LatticeHNF:
     y = (inst.p**k - 1) // (inst.p - 1)
     x = (1 - y) if j >= 0 else (inst.p**k - y)
     cols = (x, -inst.delta * y, y, x + inst.tau * y)
-    return class_rep(hnf_exact(inst.p, *cols, det_val_bound=k))
-
-
-def _minval_entries(p: int, entries, cap: int) -> int:
-    vals = [_val(p, e, cap) for e in entries if e != 0]
-    return min(vals) if vals else cap
+    return class_rep(hnf(inst.p, *cols))
 
 
 def lattice_distance(inst: CaseInstance, A: LatticeHNF, B: LatticeHNF) -> int:
@@ -391,7 +323,8 @@ def lattice_distance(inst: CaseInstance, A: LatticeHNF, B: LatticeHNF) -> int:
 
     This is the gap |v2 - v1| of the elementary-divisor valuations of
     A^{-1} B, computed as val(det A) + val(det B) - 2 * minval(adj(A) * B);
-    the value only depends on the homothety classes.
+    the value only depends on the homothety classes.  Both lattices are
+    nonsingular, so adj(A) * B has a nonzero entry.
     """
     a00, a01, a10, a11 = A.matrix()
     b00, b01, b10, b11 = B.matrix()
@@ -400,19 +333,14 @@ def lattice_distance(inst: CaseInstance, A: LatticeHNF, B: LatticeHNF) -> int:
     c01 = a11 * b01 - a01 * b11
     c10 = -a10 * b00 + a00 * b10
     c11 = -a10 * b01 + a00 * b11
-    cap = 4 * inst.precision
-    det_val = A.index_exponent + B.index_exponent
-    mv = _minval_entries(inst.p, (c00, c01, c10, c11), cap)
-    if mv >= cap:
-        raise PrecisionExhausted("degenerate change of basis")
-    return det_val - 2 * mv
+    mv = min(_val(inst.p, e) for e in (c00, c01, c10, c11) if e)
+    return A.index_exponent + B.index_exponent - 2 * mv
 
 
 def neighbor_classes(inst: CaseInstance, L: LatticeHNF) -> list[LatticeHNF]:
     """The p + 1 classes at tree distance 1 from the class of L."""
     p = inst.p
     m00, m01, m10, m11 = L.matrix()
-    bound = L.index_exponent + 1
     out = []
     seen = set()
     subs = [(1, 0, 0, p)] + [(p, t, 0, 1) for t in range(p)]
@@ -421,7 +349,7 @@ def neighbor_classes(inst: CaseInstance, L: LatticeHNF) -> list[LatticeHNF]:
         c10 = m10 * s00 + m11 * s10
         c01 = m00 * s01 + m01 * s11
         c11 = m10 * s01 + m11 * s11
-        cls = class_rep(hnf_exact(p, c00, c01, c10, c11, bound))
+        cls = class_rep(hnf(p, c00, c01, c10, c11))
         if cls.key() not in seen:
             seen.add(cls.key())
             out.append(cls)
@@ -615,19 +543,11 @@ def _find_generator(
     return None
 
 
-def enumeration_precision(n: int, max_contribution: int) -> int:
-    """Working precision that certifies the ideals of O_n up to the bound."""
-    return max(MIN_PRECISION, max_contribution + 2 * n + 2)
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _enumerate_core(
     inst: CaseInstance, n: int, max_contribution: int
 ) -> tuple[IdealRecord, ...]:
     p = inst.p
-    need = enumeration_precision(n, max_contribution)
-    if inst.precision < need:
-        raise PrecisionTooSmall(f"need precision >= {need} for this enumeration")
     total = sum(
         p**a for k in range(max_contribution + 1) for a in range(k + 1)
     )
@@ -683,7 +603,7 @@ def _confirm_generator(inst: CaseInstance, n: int, L: LatticeHNF, u: int, v: int
     # Columns of multiplication by alpha on the O_n basis.
     c00, c10 = u, v
     c01, c11 = -delta_n * v, u + tau_n * v
-    H = hnf_exact(inst.p, c00, c01, c10, c11, L.index_exponent)
+    H = hnf(inst.p, c00, c01, c10, c11)
     if H != L:
         raise AssertionError(f"claimed generator spans {H}, not {L}")
 
@@ -693,17 +613,14 @@ def _exact_type(inst: CaseInstance, x: int, y: int) -> TypeVector:
 
     Ramified: val_pi = min(2 val(x), 2 val(y) + 1).  Unramified:
     min(val(x), val(y)).  Split: val_p of each factor component, (x + y)
-    and (x + p*y).
+    and (x + p*y).  A zero coordinate has infinite valuation and is skipped.
     """
     p = inst.p
-    cap = 8 * inst.precision
     if inst.tag is BasinKind.SPLIT:
-        return (_val(p, x + y, cap), _val(p, x + p * y, cap))
-    vx = _val(p, x, cap)
-    vy = _val(p, y, cap)
+        return (_val(p, x + y), _val(p, x + p * y))
     if inst.tag is BasinKind.RAMIFIED:
-        return min(2 * vx, 2 * vy + 1)
-    return min(vx, vy)
+        return min(2 * _val(p, z) + i for i, z in enumerate((x, y)) if z)
+    return min(_val(p, z) for z in (x, y) if z)
 
 
 def _ideal_class(inst: CaseInstance, n: int, L: LatticeHNF) -> LatticeHNF:

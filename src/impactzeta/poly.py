@@ -55,16 +55,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def x_degree(self) -> int:
-        """Degree in X; -1 for the zero polynomial."""
-        return max((xe for _, xe, _ in self.terms), default=-1)
-
-    def coefficient(self, q_exp: int, x_exp: int) -> int:
-        for qe, xe, c in self.terms:
-            if qe == q_exp and xe == x_exp:
-                return c
-        return 0
-
     def x_coefficients(self) -> dict[int, BiPoly]:
         """Coefficient of each power of X, as a polynomial in q."""
         by_x: dict[int, list[Term]] = {}

@@ -47,7 +47,6 @@ from .orders import (
 from .padic import (
     coset_reps,
     enumerate_ideals,
-    enumeration_precision,
     make_case,
     multiplier_principal,
     source_and_distance_check,
@@ -152,12 +151,11 @@ def arithmetic_suite(
     d_bound: int = 6,
 ) -> list[CheckResult]:
     primes = primes or DEFAULT_PRIMES
-    precision = enumeration_precision(n_max, d_bound)
     results: list[CheckResult] = []
     for kind in ALL_KINDS:
         case = extension_case(kind)
         for p in primes.get(kind, ()):
-            inst = make_case(kind, p, precision)
+            inst = make_case(kind, p)
             label = f"{kind.value} p={p}"
             for n in range(n_max + 1):
                 # (a) unit indices by explicit coset enumeration.

@@ -4,7 +4,6 @@ import pytest
 
 from impactzeta.cli import main, poly_from_json, poly_to_json
 from impactzeta.orders import full_zeta, all_cases
-from impactzeta.padic import enumeration_precision
 from impactzeta.poly import ONE, Q, q_pow, x_pow
 
 
@@ -126,15 +125,6 @@ def test_enumerate_split_base_counts(capsys):
     for r in rows:
         by_c[r["contribution"]] = by_c.get(r["contribution"], 0) + 1
     assert by_c == {0: 1, 1: 2, 2: 3}
-
-
-def test_enumerate_derives_its_precision(capsys):
-    code, out, _ = run(
-        capsys, "enumerate", "--case", "ramified", "--p", "3", "-n", "1",
-        "--max-contribution", "4", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["request"]["precision"] == enumeration_precision(1, 4) == 8
 
 
 def test_enumerate_has_no_precision_option(capsys):
@@ -434,13 +424,23 @@ def test_negative_heights_and_radii_rejected_at_parse_time(capsys, argv):
         (["verify", "--suite", "arithmetic", "--p", "4"], "4 is not prime"),
     ],
 )
-def test_non_prime_and_low_precision_rejected_at_parse_time(capsys, argv, message):
+def test_non_prime_rejected_at_parse_time(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err
     assert "usage:" in err
+
+
+def test_enumerate_unramified_p2_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--case", "unramified", "--p", "2", "-n", "1",
+        "--max-contribution", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "usage error: p = 2 unramified is not supported" in err
 
 
 def test_verify_arithmetic_p2_skips_unramified(capsys):

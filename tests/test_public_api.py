@@ -1,12 +1,14 @@
-"""Every public module-level function and class in ``src/impactzeta`` is used.
+"""Every public function, class and method in ``src/impactzeta`` is used.
 
 A public name that only the tests call is API that nothing exercises in
 use, and often a second copy of a job the program does elsewhere.  A name
 counts as used when another ``src`` module, its own module outside its own
 definition, or a ``bench/*.py`` script refers to it: as an identifier, an
 attribute, an imported name, or a ``module:qualname`` string (the form in
-which ``bench/trace_child.py`` names the functions it wraps).  The only
-exceptions are the referees below, each with the reason it stays.
+which ``bench/trace_child.py`` names the functions it wraps).  This covers
+module-level functions and classes, and the public (non-underscore)
+methods of public classes.  The only exceptions are the referees below,
+each with the reason it stays.
 """
 
 import ast
@@ -20,14 +22,22 @@ REFEREES = {
     "bfs_distance": "referee for building.distance (BFS against the address rule)",
     "slope_map": "referee for the order-q step behind classify_type's q^d",
     "poly_from_json": "inverse of cli.poly_to_json, for round-trip tests",
+    "ClassAtlas.lattice_at": "inverse of ClassAtlas.locate, for the bijection test",
+    "TruncatedTree.neighbors": "checked against the layer-by-layer tree build",
 }
 
 _SPAN_STRING = re.compile(r"\w+:[\w.]+")
 
 
-def _references(node) -> set[str]:
+def _references(node, skip=None) -> set[str]:
+    """Names referred to anywhere under ``node``, leaving out the ``skip`` subtree."""
     out = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(sub))
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -55,14 +65,20 @@ def unreferenced_public_names() -> set[str]:
         for other, tree in modules.items():
             if other != name:
                 elsewhere |= _references(tree)
-        statements = [(stmt, _references(stmt)) for stmt in module.body]
-        for stmt, _ in statements:
+        for stmt in module.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if stmt.name.startswith("_") or stmt.name in elsewhere:
+            if stmt.name.startswith("_"):
                 continue
-            if not any(stmt.name in refs for s, refs in statements if s is not stmt):
+            if stmt.name not in elsewhere | _references(module, skip=stmt):
                 unused.add(stmt.name)
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for method in stmt.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                if method.name not in elsewhere | _references(module, skip=method):
+                    unused.add(f"{stmt.name}.{method.name}")
     return unused
 
 
