@@ -6,8 +6,14 @@ closed form next to the BFS oracle), ``enumerate`` (the p-adic ideal
 table), ``verify`` (the identity/oracle/arithmetic suites) and ``tree``
 (truncated-tree export, DOT or layer table).
 
-Output is deterministic: identical invocations produce identical bytes.
-Exit codes: 0 success, 1 verification/enumeration failure, 2 usage error.
+Each subcommand calls the layer functions directly and hands its results to
+one writer, ``_write``: the JSON document echoes every option of the
+subcommand under ``request`` (in parser order, after ``subcommand``), CSV
+goes through ``csv.writer`` and the text formats are joined lines.  Output
+is deterministic: identical invocations produce identical bytes.
+Exit codes: 0 success, 1 verification/enumeration failure, 2 usage error
+(including an ``--output`` path that cannot be written and a value given
+twice to ``verify --m`` or ``--p``).
 """
 
 from __future__ import annotations
@@ -29,10 +35,12 @@ from .building import (
 )
 from .errors import ClosedFormMismatch, ImpactZetaError
 from .genfun import (
-    count_table,
-    genfun_record,
+    basin_genfun,
+    geodesic_genfun_q,
     layer_genfun,
+    oracle_halfwidth,
     reachable_count_closed,
+    reachable_count_oracle,
     way_out_vertex,
 )
 from .orders import extension_case, full_zeta
@@ -48,6 +56,8 @@ from .suites import (
 )
 
 _KIND_NAMES = {k.value: k for k in BasinKind}
+# Parsed attributes that say where and how to write, not what was computed.
+_NOT_ECHOED = ("format", "output", "func")
 
 
 def poly_to_json(poly: BiPoly) -> dict:
@@ -59,75 +69,64 @@ def poly_from_json(obj: dict) -> BiPoly:
     return BiPoly(tuple((qe, xe, int(c)) for qe, xe, c in obj["terms"]))
 
 
-def ratfn_to_json(f: RationalFn) -> dict:
-    return {"numerator": poly_to_json(f.num), "denominator": poly_to_json(f.den)}
+def _write(
+    args, results: dict, text: list, checks: Optional[list[CheckResult]] = None, **derived
+) -> None:
+    """Write one subcommand's output in ``args.format`` to ``--output`` or stdout.
 
-
-def _document(request: dict, results: dict, checks: Optional[list[CheckResult]] = None) -> dict:
-    doc = {
-        "tool": {"name": "impactzeta", "version": __version__},
-        "request": request,
-        "results": results,
-    }
-    if checks is not None:
-        doc["checks"] = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ]
-    return doc
-
-
-def _emit(text: str, output: Optional[str]):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+    ``results`` (and ``checks``) fill the JSON document, whose ``request``
+    echoes the parsed options with ``derived`` values in their place.
+    ``text`` is the table rows for CSV and the output lines otherwise.
+    """
+    if args.format == "json":
+        request = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+        doc = {
+            "tool": {"name": "impactzeta", "version": __version__},
+            "request": request | derived,
+            "results": results,
+        }
+        if checks is not None:
+            doc["checks"] = [
+                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
+            ]
+        body = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(text)
+        body = buf.getvalue()
     else:
-        sys.stdout.write(text)
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+        body = "\n".join(text) + "\n"
+    if not args.output:
+        sys.stdout.write(body)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
 # -- zeta ---------------------------------------------------------------
 
 
 def cmd_zeta(args) -> int:
-    case = extension_case(_KIND_NAMES[args.case])
-    rec = full_zeta(case, args.n)
+    rec = full_zeta(extension_case(_KIND_NAMES[args.case]), args.n)
     num, den = rec.numerator, rec.denominator
+    head = f"case: {args.case}  n: {args.n}"
     if args.q is not None:
         num, den = num.subs_q(args.q), den.subs_q(args.q)
-    request = {
-        "subcommand": "zeta",
-        "case": args.case,
-        "n": args.n,
-        "q": args.q,
-        "series_terms": args.series_terms,
-    }
-    results: dict = {
-        "numerator": poly_to_json(num),
-        "denominator": poly_to_json(den),
-    }
+        head += f"  q: {args.q}"
+    results: dict = {"numerator": poly_to_json(num), "denominator": poly_to_json(den)}
+    text = [head, f"numerator: {num}", f"denominator: {den}"]
     if args.series_terms is not None:
         prefix = series_expand(RationalFn(num, den), args.series_terms)
         if args.q is not None:
             results["series"] = prefix.at_q(0)
+            text.append("series: " + " ".join(map(str, results["series"])))
         else:
             results["series"] = [poly_to_json(c) for c in prefix.coefficients]
-    if args.format == "json":
-        _emit(_json_text(_document(request, results)), args.output)
-    else:
-        lines = [
-            f"case: {args.case}  n: {args.n}" + (f"  q: {args.q}" if args.q is not None else ""),
-            f"numerator: {num}",
-            f"denominator: {den}",
-        ]
-        if args.series_terms is not None:
-            if args.q is not None:
-                lines.append("series: " + " ".join(map(str, results["series"])))
-            else:
-                lines.append("series: " + " | ".join(map(str, prefix.coefficients)))
-        _emit("\n".join(lines) + "\n", args.output)
+            text.append("series: " + " | ".join(map(str, prefix.coefficients)))
+    _write(args, results, text)
     return 0
 
 
@@ -136,37 +135,25 @@ def cmd_zeta(args) -> int:
 
 def cmd_genfun(args) -> int:
     spec = BuildingSpec(_KIND_NAMES[args.basin], args.m)
-    rec = genfun_record(spec, args.n)
-    request = {
-        "subcommand": "genfun",
-        "basin": args.basin,
-        "m": args.m,
-        "n": args.n,
-        "series_terms": args.series_terms,
+    functions = {
+        "layer": layer_genfun(spec, args.n),
+        "basin": basin_genfun(spec, args.n),
+        "layer_geodesic": geodesic_genfun_q(spec.kind, args.n, "layer").subs_q(spec.m),
+        "basin_geodesic": geodesic_genfun_q(spec.kind, args.n, "basin").subs_q(spec.m),
     }
     results = {
-        "layer": ratfn_to_json(rec.layer),
-        "basin": ratfn_to_json(rec.basin),
-        "layer_geodesic": ratfn_to_json(rec.layer_geodesic),
-        "basin_geodesic": ratfn_to_json(rec.basin_geodesic),
+        key: {"numerator": poly_to_json(f.num), "denominator": poly_to_json(f.den)}
+        for key, f in functions.items()
     }
+    labels = ("layer", "basin-fn", "layer-geodesic", "basin-geodesic")
+    text = [f"basin: {args.basin}  m: {args.m}  n: {args.n}"]
+    text += [f"{label}: {f}" for label, f in zip(labels, functions.values())]
     if args.series_terms is not None:
-        results["layer_series"] = series_expand(rec.layer, args.series_terms).at_q(0)
-        results["basin_series"] = series_expand(rec.basin, args.series_terms).at_q(0)
-    if args.format == "json":
-        _emit(_json_text(_document(request, results)), args.output)
-    else:
-        lines = [
-            f"basin: {args.basin}  m: {args.m}  n: {args.n}",
-            f"layer: {rec.layer}",
-            f"basin-fn: {rec.basin}",
-            f"layer-geodesic: {rec.layer_geodesic}",
-            f"basin-geodesic: {rec.basin_geodesic}",
-        ]
-        if args.series_terms is not None:
-            lines.append("layer series: " + " ".join(map(str, results["layer_series"])))
-            lines.append("basin series: " + " ".join(map(str, results["basin_series"])))
-        _emit("\n".join(lines) + "\n", args.output)
+        for key in ("layer", "basin"):
+            series = series_expand(functions[key], args.series_terms).at_q(0)
+            results[f"{key}_series"] = series
+            text.append(f"{key} series: " + " ".join(map(str, series)))
+    _write(args, results, text)
     return 0
 
 
@@ -175,15 +162,15 @@ def cmd_genfun(args) -> int:
 
 def cmd_counts(args) -> int:
     spec = BuildingSpec(_KIND_NAMES[args.basin], args.m)
-    halfwidth = args.max_d + args.n if spec.kind is BasinKind.SPLIT else 0
-    tree = build_truncated(spec, args.n, halfwidth)
+    tree = build_truncated(spec, args.n, oracle_halfwidth(spec.kind, args.n, args.max_d))
     v = way_out_vertex(spec, args.n)
-    table = count_table(tree, v, args.max_d)
     # Closed values from the series of the layer generating function; for
     # n >= 1 these agree with the piecewise walk-count formula.
     closed_series = series_expand(layer_genfun(spec, args.n), args.max_d).at_q(0)
     rows = []
     for d in range(args.max_d + 1):
+        r_oracle = reachable_count_oracle(tree, v, d, "layer")
+        p_oracle = reachable_count_oracle(tree, v, d, "basin")
         closed = closed_series[d]
         if args.n >= 1:
             formula = reachable_count_closed(spec, args.n, d)
@@ -192,37 +179,22 @@ def cmd_counts(args) -> int:
                     f"layer series gives {closed} at d={d}, "
                     f"walk-count formula {formula}"
                 )
-        rows.append(
-            {"d": d, "r_closed": closed, "r_oracle": table.r[d], "p_oracle": table.p[d]}
-        )
-    request = {
-        "subcommand": "counts",
-        "basin": args.basin,
-        "m": args.m,
-        "n": args.n,
-        "max_d": args.max_d,
-    }
-    if args.format == "json":
-        _emit(_json_text(_document(request, {"counts": rows})), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["d", "r_closed", "r_oracle", "p_oracle"])
-        for row in rows:
-            writer.writerow([row["d"], row["r_closed"], row["r_oracle"], row["p_oracle"]])
-        _emit(buf.getvalue(), args.output)
+        rows.append({"d": d, "r_closed": closed, "r_oracle": r_oracle, "p_oracle": p_oracle})
+    if args.format == "csv":
+        text = [["d", "r_closed", "r_oracle", "p_oracle"]] + [list(r.values()) for r in rows]
     else:
-        lines = [f"basin: {args.basin}  m: {args.m}  n: {args.n}"]
-        lines += [
+        text = [f"basin: {args.basin}  m: {args.m}  n: {args.n}"] + [
             f"d={row['d']:>3}  r_closed={row['r_closed']:>8}  "
             f"r_oracle={row['r_oracle']:>8}  p_oracle={row['p_oracle']:>8}"
             for row in rows
         ]
-        _emit("\n".join(lines) + "\n", args.output)
+    _write(args, {"counts": rows}, text)
     return 0
 
 
 # -- enumerate -------------------------------------------------------------
+
+_CSV_COLUMNS = ("case", "p", "n", "type", "contribution", "vertex", "distance")
 
 
 def cmd_enumerate(args) -> int:
@@ -230,13 +202,6 @@ def cmd_enumerate(args) -> int:
     n, bound = args.n, args.max_contribution
     inst = make_case(kind, args.p)
     records = enumerate_ideals(inst, n, bound, arithmetic_tree(inst, n, bound))
-    request = {
-        "subcommand": "enumerate",
-        "case": args.case,
-        "p": args.p,
-        "n": n,
-        "max_contribution": bound,
-    }
 
     def type_str(t) -> str:
         if t is None:
@@ -245,58 +210,38 @@ def cmd_enumerate(args) -> int:
             return "|".join(str(c) for c in t)
         return str(t)
 
-    rows = []
-    for r in records:
-        rows.append(
-            {
-                "case": args.case,
-                "p": args.p,
-                "n": n,
-                "type": type_str(r.type_eps),
-                "contribution": "" if r.contribution is None else r.contribution,
-                "vertex": "" if r.vertex is None else str(r.vertex),
-                "distance": "" if r.distance_to_main is None else r.distance_to_main,
-                "principal": r.principal,
-                "lattice": str(r.lattice),
-                "index_exponent": r.index_exponent,
-                "generator": "" if r.generator is None else str(r.generator),
-            }
-        )
-    if args.format == "json":
-        _emit(_json_text(_document(request, {"ideals": rows})), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["case", "p", "n", "type", "contribution", "vertex", "distance", "principal"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["case"],
-                    row["p"],
-                    row["n"],
-                    row["type"],
-                    row["contribution"],
-                    row["vertex"],
-                    row["distance"],
-                    str(row["principal"]).lower(),
-                ]
-            )
-        _emit(buf.getvalue(), args.output)
+    rows = [
+        {
+            "case": args.case,
+            "p": args.p,
+            "n": n,
+            "type": type_str(r.type_eps),
+            "contribution": "" if r.contribution is None else r.contribution,
+            "vertex": "" if r.vertex is None else str(r.vertex),
+            "distance": "" if r.distance_to_main is None else r.distance_to_main,
+            "principal": r.principal,
+            "lattice": str(r.lattice),
+            "index_exponent": r.index_exponent,
+            "generator": "" if r.generator is None else str(r.generator),
+        }
+        for r in records
+    ]
+    if args.format == "csv":
+        text = [[*_CSV_COLUMNS, "principal"]] + [
+            [*(row[k] for k in _CSV_COLUMNS), str(row["principal"]).lower()]
+            for row in rows
+        ]
     else:
-        lines = [
+        text = [
             f"case: {args.case}  p: {args.p}  n: {n}  bound: {bound}  "
             f"ideals: {len(rows)}"
+        ] + [
+            f"[{'P' if row['principal'] else '-'}] k={row['index_exponent']} "
+            f"lattice={row['lattice']} type={row['type'] or '-'} "
+            f"c={row['contribution']} vertex={row['vertex'] or '-'} d={row['distance']}"
+            for row in rows
         ]
-        for row in rows:
-            mark = "P" if row["principal"] else "-"
-            lines.append(
-                f"[{mark}] k={row['index_exponent']} lattice={row['lattice']} "
-                f"type={row['type'] or '-'} c={row['contribution']} "
-                f"vertex={row['vertex'] or '-'} d={row['distance']}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+    _write(args, {"ideals": rows}, text)
     return 0
 
 
@@ -304,6 +249,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, values in (("--m", args.m), ("--p", args.p)):
+        repeated = sorted({v for v in values or () if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"{flag} {repeated[0]} is given more than once")
     checks: list[CheckResult] = []
     suites = (
         ["identities", "oracle", "arithmetic"] if args.suite == "all" else [args.suite]
@@ -330,28 +279,14 @@ def cmd_verify(args) -> int:
         n_max = 2 if args.max_n is None else args.max_n
         checks.extend(arithmetic_suite(primes, n_max, args.max_contribution))
     passed = sum(1 for c in checks if c.passed)
-    request = {
-        "subcommand": "verify",
-        "suite": args.suite,
-        "max_n": args.max_n,
-        "m": args.m,
-        "p": args.p,
-        "max_d": args.max_d,
-        "max_contribution": args.max_contribution,
-    }
+    text = [
+        f"[{'pass' if c.passed else 'FAIL'}] {c.name}"
+        + (f"  ({c.detail})" if c.detail and not c.passed else "")
+        for c in checks
+    ]
+    text.append(f"{passed}/{len(checks)} checks passed")
     summary = {"checks": len(checks), "passed": passed, "failed": len(checks) - passed}
-    if args.format == "json":
-        _emit(_json_text(_document(request, summary, checks)), args.output)
-    else:
-        lines = []
-        for c in checks:
-            status = "pass" if c.passed else "FAIL"
-            detail = f"  ({c.detail})" if c.detail and not c.passed else ""
-            lines.append(f"[{status}] {c.name}{detail}")
-        lines.append(
-            f"{summary['passed']}/{summary['checks']} checks passed"
-        )
-        _emit("\n".join(lines) + "\n", args.output)
+    _write(args, summary, text, checks)
     return 0 if passed == len(checks) else 1
 
 
@@ -364,8 +299,8 @@ def _dot_id(v) -> str:
     return f"v{anchor}" + (f"_{word}" if word else "")
 
 
-def tree_to_dot(tree: TruncatedTree) -> str:
-    """Undirected DOT export with height labels on the vertices."""
+def tree_to_dot(tree: TruncatedTree) -> list[str]:
+    """Undirected DOT export with height labels on the vertices, as lines."""
     lines = ["graph building {", "  node [shape=circle];"]
     for v in tree.vertices:
         lines.append(f'  {_dot_id(v)} [label="{v.height}"];')
@@ -378,39 +313,29 @@ def tree_to_dot(tree: TruncatedTree) -> str:
             seen.add(key)
             lines.append(f"  {_dot_id(v)} -- {_dot_id(w)};")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_tree(args) -> int:
     spec = BuildingSpec(_KIND_NAMES[args.basin], args.m)
     halfwidth = args.halfwidth if args.halfwidth is not None else args.radius
     tree = build_truncated(spec, args.radius, halfwidth)
-    layer_sizes = {
-        n: len(layer_members(tree, n)) for n in range(args.radius + 1)
-    }
-    request = {
-        "subcommand": "tree",
-        "basin": args.basin,
-        "m": args.m,
-        "radius": args.radius,
-        "halfwidth": halfwidth if spec.kind is BasinKind.SPLIT else None,
+    layer_sizes = {n: len(layer_members(tree, n)) for n in range(args.radius + 1)}
+    results = {
+        "vertices": len(tree),
+        "layer_sizes": {str(k): v for k, v in layer_sizes.items()},
+        "vertex_list": [str(v) for v in tree.vertices],
     }
     if args.format == "dot":
-        _emit(tree_to_dot(tree), args.output)
-    elif args.format == "json":
-        results = {
-            "vertices": len(tree),
-            "layer_sizes": {str(k): v for k, v in layer_sizes.items()},
-            "vertex_list": [str(v) for v in tree.vertices],
-        }
-        _emit(_json_text(_document(request, results)), args.output)
+        text = tree_to_dot(tree)
     else:
-        lines = [
+        text = [
             f"basin: {args.basin}  m: {args.m}  radius: {args.radius}  "
             f"vertices: {len(tree)}"
-        ]
-        lines += [f"layer {n}: {size}" for n, size in layer_sizes.items()]
-        _emit("\n".join(lines) + "\n", args.output)
+        ] + [f"layer {n}: {size}" for n, size in layer_sizes.items()]
+    _write(
+        args, results, text, halfwidth=halfwidth if spec.kind is BasinKind.SPLIT else None
+    )
     return 0
 
 

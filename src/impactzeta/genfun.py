@@ -27,8 +27,6 @@ apartment case, the BFS oracle is the arbiter of the exact coefficients
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .building import (
     BasinKind,
     BuildingSpec,
@@ -107,10 +105,6 @@ def geodesic_genfun_q(kind: BasinKind, n: int, which: str = "layer") -> Rational
     return RationalFn(exact_div(num2, f.den), ONE)
 
 
-def geodesic_genfun(spec: BuildingSpec, n: int, which: str = "layer") -> RationalFn:
-    return geodesic_genfun_q(spec.kind, n, which).subs_q(spec.m)
-
-
 def reachable_count_closed(spec: BuildingSpec, n: int, d: int) -> int:
     """Closed-form r(d, O_n) for a way-out vertex off the basin (n >= 1)."""
     if n < 1:
@@ -127,6 +121,15 @@ def reachable_count_closed(spec: BuildingSpec, n: int, d: int) -> int:
         return (m + 1) * m ** (n - 1) if d % 2 == 0 else 0
     ell = d - 2 * n
     return (ell + 1) * (m - 1) * m ** (n - 1)
+
+
+def oracle_halfwidth(kind: BasinKind, radius: int, max_d: int) -> int:
+    """Split halfwidth for an oracle tree queried at the way-out vertices.
+
+    Walks of length up to max_d must stay inside (``_check_coverage``), and
+    ``build_truncated`` needs at least the radius; the other basins take 0.
+    """
+    return max(max_d, radius) if kind is BasinKind.SPLIT else 0
 
 
 def _check_coverage(tree: TruncatedTree, v: VertexAddr, d: int):
@@ -155,46 +158,6 @@ def reachable_count_oracle(
     layer, basin = tree.distance_profile(v)
     counts = layer if which == "layer" else basin
     return sum(counts[d % 2 : d + 1 : 2]) if d >= 0 else 0
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Oracle walk counts r(d, v) and p(d, v) for d = 0..max_d."""
-
-    spec: BuildingSpec
-    v: VertexAddr
-    max_d: int
-    r: tuple[int, ...]
-    p: tuple[int, ...]
-
-
-def count_table(tree: TruncatedTree, v: VertexAddr, max_d: int) -> CountTable:
-    r = tuple(reachable_count_oracle(tree, v, d, "layer") for d in range(max_d + 1))
-    p = tuple(reachable_count_oracle(tree, v, d, "basin") for d in range(max_d + 1))
-    return CountTable(tree.spec, v, max_d, r, p)
-
-
-@dataclass(frozen=True)
-class GenFunRecord:
-    """Layer/basin generating functions from O_n, walk and geodesic flavors."""
-
-    spec: BuildingSpec
-    n: int
-    layer: RationalFn
-    basin: RationalFn
-    layer_geodesic: RationalFn
-    basin_geodesic: RationalFn
-
-
-def genfun_record(spec: BuildingSpec, n: int) -> GenFunRecord:
-    return GenFunRecord(
-        spec,
-        n,
-        layer_genfun(spec, n),
-        basin_genfun(spec, n),
-        geodesic_genfun(spec, n, "layer"),
-        geodesic_genfun(spec, n, "basin"),
-    )
 
 
 def check_recurrence_q(kind: BasinKind, n_max: int) -> list[CheckResult]:

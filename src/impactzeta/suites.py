@@ -31,6 +31,7 @@ from .genfun import (
     check_geodesic_q,
     check_recurrence_q,
     layer_genfun_q,
+    oracle_halfwidth,
     oracle_series_check,
     way_out_vertex,
 )
@@ -81,10 +82,7 @@ def oracle_suite(
     results: list[CheckResult] = []
     for kind, m in product(ALL_KINDS, ms):
         spec = BuildingSpec(kind, m)
-        # Room for walks of length d_max, and at least the radius, which
-        # build_truncated requires of a split truncation.
-        halfwidth = max(d_max + 1, n_max) if kind is BasinKind.SPLIT else 0
-        tree = build_truncated(spec, n_max, halfwidth)
+        tree = build_truncated(spec, n_max, oracle_halfwidth(kind, n_max, d_max))
         for n in range(n_max + 1):
             results.extend(oracle_series_check(tree, n, d_max))
     return results

@@ -452,3 +452,81 @@ def test_verify_arithmetic_p2_skips_unramified(capsys):
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert names and not any("unramified" in name for name in names)
     assert "unramified case skipped" in err
+
+
+def test_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(
+        capsys, "zeta", "--case", "ramified", "-n", "2", "--format", "json",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"usage error: cannot write {target}" in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["verify", "--suite", "oracle", "--m", "2", "--m", "2", "--max-n", "1",
+          "--max-d", "2"], "--m 2"),
+        (["verify", "--suite", "arithmetic", "--p", "3", "--p", "5", "--p", "3",
+          "--max-n", "0", "--max-contribution", "2"], "--p 3"),
+    ],
+)
+def test_verify_repeated_value_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"usage error: {message} is given more than once" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "request_block"),
+    [
+        (
+            ["zeta", "--case", "ramified", "-n", "2", "--q", "3"],
+            {"subcommand": "zeta", "case": "ramified", "n": 2, "q": 3,
+             "series_terms": None},
+        ),
+        (
+            ["genfun", "--basin", "split", "--m", "2", "-n", "1", "--series-terms", "4"],
+            {"subcommand": "genfun", "basin": "split", "m": 2, "n": 1,
+             "series_terms": 4},
+        ),
+        (
+            ["counts", "--basin", "ramified", "--m", "3", "-n", "1"],
+            {"subcommand": "counts", "basin": "ramified", "m": 3, "n": 1, "max_d": 10},
+        ),
+        (
+            ["enumerate", "--case", "ramified", "--p", "3", "-n", "1",
+             "--max-contribution", "2"],
+            {"subcommand": "enumerate", "case": "ramified", "p": 3, "n": 1,
+             "max_contribution": 2},
+        ),
+        (
+            ["verify", "--suite", "identities", "--max-n", "1", "--m", "2"],
+            {"subcommand": "verify", "suite": "identities", "max_n": 1, "m": [2],
+             "p": None, "max_d": 12, "max_contribution": 6},
+        ),
+        (
+            ["tree", "--basin", "split", "--m", "2", "--radius", "3"],
+            {"subcommand": "tree", "basin": "split", "m": 2, "radius": 3,
+             "halfwidth": 3},
+        ),
+        (
+            ["tree", "--basin", "ramified", "--m", "2", "--radius", "1",
+             "--halfwidth", "4"],
+            {"subcommand": "tree", "basin": "ramified", "m": 2, "radius": 1,
+             "halfwidth": None},
+        ),
+    ],
+)
+def test_request_echoes_every_option_in_parser_order(capsys, argv, request_block):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    request = json.loads(out)["request"]
+    assert list(request) == list(request_block)
+    assert request == request_block

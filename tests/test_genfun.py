@@ -13,10 +13,9 @@ from impactzeta.genfun import (
     basin_genfun,
     check_geodesic_q,
     check_recurrence_q,
-    count_table,
-    genfun_record,
-    geodesic_genfun,
+    geodesic_genfun_q,
     layer_genfun,
+    oracle_halfwidth,
     oracle_series_check,
     reachable_count_closed,
     reachable_count_oracle,
@@ -94,6 +93,18 @@ def test_oracle_truncation_guard():
     unram = tree_for(UNRAM, 2, 1)
     with pytest.raises(TruncationInsufficient):
         reachable_count_oracle(unram, way_out_vertex(unram.spec, 2), 1)
+
+
+@pytest.mark.parametrize(("radius", "max_d"), [(3, 1), (3, 3), (2, 6)])
+def test_oracle_halfwidth_is_the_least_that_covers(radius, max_d):
+    assert oracle_halfwidth(RAM, radius, max_d) == 0
+    halfwidth = oracle_halfwidth(SPLIT, radius, max_d)
+    tree = build_truncated(spec(SPLIT, 2), radius, halfwidth)
+    for n in range(radius + 1):
+        reachable_count_oracle(tree, way_out_vertex(tree.spec, n), max_d)
+    with pytest.raises((TruncationInsufficient, ValueError)):
+        narrow = build_truncated(spec(SPLIT, 2), radius, halfwidth - 1)
+        reachable_count_oracle(narrow, way_out_vertex(narrow.spec, 0), max_d)
 
 
 def test_oracle_rejects_unknown_height_class():
@@ -186,16 +197,16 @@ def test_split_layer_numerator_at_n2():
 
 def test_geodesic_examples():
     # Edge basin, n = 0: one basin vertex at distance 0, one at distance 1.
-    g = geodesic_genfun(spec(RAM, 2), 0, "layer")
+    g = geodesic_genfun_q(RAM, 0, "layer").subs_q(2)
     assert g == RationalFn(ONE + x_pow(1), ONE)
     tree = tree_for(RAM, 2, 1)
     v = way_out_vertex(tree.spec, 0)
     layer_at_distance = tree.distance_profile(v)[0]
     assert layer_at_distance[:2] == (1, 1)
     # Vertex basin: geodesic basin flavor is (1 - X^2) * basin, a polynomial.
-    record = genfun_record(spec(UNRAM, 2), 1)
-    assert record.basin_geodesic.den == ONE
-    assert record.basin_geodesic.num == ONE + x_pow(1) + 2 * x_pow(2)
+    basin_geodesic = geodesic_genfun_q(UNRAM, 1, "basin").subs_q(2)
+    assert basin_geodesic.den == ONE
+    assert basin_geodesic.num == ONE + x_pow(1) + 2 * x_pow(2)
 
 
 def test_geodesic_relation_symbolic():
@@ -250,10 +261,11 @@ def test_count_table_invariants(kind, m, n):
     hw = 11 if kind is SPLIT else 0
     tree = build_truncated(spec(kind, m), max(n, 1), hw)
     v = way_out_vertex(tree.spec, n)
-    table = count_table(tree, v, 8)
-    assert table.r[0] == 1
+    r = [reachable_count_oracle(tree, v, d, "layer") for d in range(9)]
+    p = [reachable_count_oracle(tree, v, d, "basin") for d in range(9)]
+    assert r[0] == 1
     for d in range(9):
-        assert table.r[d] <= table.p[d]
+        assert r[d] <= p[d]
     for d in range(2, 9):
-        assert table.r[d] >= table.r[d - 2]
-        assert table.p[d] >= table.p[d - 2]
+        assert r[d] >= r[d - 2]
+        assert p[d] >= p[d - 2]
