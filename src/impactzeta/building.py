@@ -13,15 +13,18 @@ split apartment has one anchor per integer position j.  Child index 0 is
 reserved for the way-out direction, so the way-out vertex of height n is
 always ``(0, (0,) * n)``.
 
-A :class:`TruncatedTree` is stored as integer-indexed arrays.  Vertices are
-numbered in ``(anchor, word)`` order, which is a depth-first pre-order of
-each anchor's subtree, so the numbering needs no sort.  Per vertex the tree
-keeps its ``parent`` number (-1 on the basin), the child ``digit`` it hangs
-from, its ``height`` and its neighbor numbers in increasing order.  Every
-subtree below height 1 is complete, so an address is turned into its
-number by arithmetic on subtree sizes.  Addresses are the edge of the API
-only: the ``vertices`` and ``adjacency`` views in address form are built on
-first use, and the BFS behind the walk-count oracle runs on numbers.
+The walk-count oracle needs no truncation: :func:`distance_profile` runs a
+BFS on addresses and never enters a vertex higher than its source.
+
+A :class:`TruncatedTree` is an explicit finite piece of the tree, stored as
+integer-indexed arrays.  Vertices are numbered in ``(anchor, word)`` order,
+which is a depth-first pre-order of each anchor's subtree, so the numbering
+needs no sort.  Per vertex the tree keeps its ``parent`` number (-1 on the
+basin), the child ``digit`` it hangs from, its ``height`` and its neighbor
+numbers in increasing order.  Every subtree below height 1 is complete, so
+an address is turned into its number by arithmetic on subtree sizes.  The
+``vertices`` and ``adjacency`` views in address form are built on first
+use; :meth:`TruncatedTree.bfs_distances` is the referee for the oracle.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from enum import Enum
 from .errors import LimitExceeded, RadiusTooSmall, UnknownVertex
 
 DEFAULT_MAX_VERTICES = 200_000
-# Distance profiles kept per tree (one per BFS source, oldest dropped first).
-PROFILE_CACHE_SIZE = 64
 
 
 class BasinKind(Enum):
@@ -55,9 +56,14 @@ class BuildingSpec:
             raise ValueError("branching parameter m must be at least 2")
 
 
-def _line_spec(kind: BasinKind) -> BuildingSpec:
-    # Degenerate m = 1 fixture: the tree is a line.  Only the test
-    # constructor below uses this; it bypasses the m >= 2 validation.
+def line_spec(kind: BasinKind) -> BuildingSpec:
+    """Degenerate m = 1 spec: the tree is a bi-infinite line.
+
+    It bypasses the m >= 2 validation.  Only the unramified and ramified
+    basins sit on a line; the split basin would be the whole tree.
+    """
+    if kind is BasinKind.SPLIT:
+        raise ValueError("the split basin has no m = 1 line form")
     spec = object.__new__(BuildingSpec)
     object.__setattr__(spec, "kind", kind)
     object.__setattr__(spec, "m", 1)
@@ -89,6 +95,10 @@ def first_arity(kind: BasinKind, m: int) -> int:
     return m - 1
 
 
+def _vertex_cap() -> int:
+    return int(os.environ.get("IMPACTZETA_MAX_VERTICES", DEFAULT_MAX_VERTICES))
+
+
 def _anchor_range(spec: BuildingSpec, halfwidth: int):
     if spec.kind is BasinKind.UNRAMIFIED:
         return [0]
@@ -116,7 +126,7 @@ class TruncatedTree:
         for h in range(radius, 0, -1):
             sizes[h] = 1 + m * sizes[h + 1]
         anchors = _anchor_range(spec, halfwidth)
-        cap = int(os.environ.get("IMPACTZETA_MAX_VERTICES", DEFAULT_MAX_VERTICES))
+        cap = _vertex_cap()
         if len(anchors) * (1 + arity0 * sizes[1]) > cap:
             raise LimitExceeded(f"vertex cap {cap} exceeded")
 
@@ -156,7 +166,6 @@ class TruncatedTree:
         self._adj = [tuple(ns) for ns in adj]
         self._vertices: tuple[VertexAddr, ...] | None = None
         self._adjacency: dict[VertexAddr, tuple[VertexAddr, ...]] | None = None
-        self._profiles: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def _index(self, v) -> int | None:
         """Number of the vertex at address v, or None if v is not in the tree."""
@@ -237,31 +246,6 @@ class TruncatedTree:
             vs[u]: k for k, frontier in enumerate(self._frontiers(s)) for u in frontier
         }
 
-    def distance_profile(
-        self, source: VertexAddr
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per-distance vertex counts ``(layer, basin)`` from one BFS.
-
-        With h the height of ``source``, ``layer[k]`` counts the vertices at
-        distance k of height exactly h and ``basin[k]`` those of height at
-        most h.  The last ``PROFILE_CACHE_SIZE`` profiles are kept.
-        """
-        s = self._require(source)
-        profile = self._profiles.get(s)
-        if profile is None:
-            height = self._height
-            h = height[s]
-            layer, basin = [], []
-            for frontier in self._frontiers(s):
-                heights = [height[u] for u in frontier]
-                layer.append(heights.count(h))
-                basin.append(sum(x <= h for x in heights))
-            profile = (tuple(layer), tuple(basin))
-            if len(self._profiles) >= PROFILE_CACHE_SIZE:
-                del self._profiles[next(iter(self._profiles))]
-            self._profiles[s] = profile
-        return profile
-
 
 def build_truncated(
     spec: BuildingSpec, radius: int, apartment_halfwidth: int = 0
@@ -279,14 +263,57 @@ def build_truncated(
 
 
 def build_line_tree(kind: BasinKind, radius: int) -> TruncatedTree:
-    """Degenerate m = 1 constructor: the tree is a bi-infinite line.
+    """Truncation of the degenerate m = 1 line (see :func:`line_spec`)."""
+    return TruncatedTree(line_spec(kind), radius)
 
-    Test-only fixture for the unramified / ramified basins sitting on a
-    line; the split basin would be the whole tree and is not supported.
+
+def distance_profile(
+    spec: BuildingSpec, source: VertexAddr, radius: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-distance vertex counts ``(layer, basin)`` from ``source``, up to ``radius``.
+
+    With h the height of ``source``, ``layer[k]`` counts the vertices of
+    height exactly h at distance k, and ``basin[k]`` those of height at most
+    h; both have length ``radius + 1``.  The BFS never enters a vertex above
+    h.  That loses none of them: height is the distance to the basin, a
+    convex subtree, so along a geodesic it is largest at one of the two ends
+    (Serre, *Trees*, ch. II).  Each visited vertex counts against the
+    ``IMPACTZETA_MAX_VERTICES`` cap.
     """
-    if kind is BasinKind.SPLIT:
-        raise ValueError("the split basin has no m = 1 line form")
-    return TruncatedTree(_line_spec(kind), radius)
+    m, arity0 = spec.m, first_arity(spec.kind, spec.m)
+    # Basin edges join consecutive anchors; every integer anchors the apartment.
+    anchors = None if spec.kind is BasinKind.SPLIT else _anchor_range(spec, 0)
+    a, word = source.anchor, source.word
+    if (anchors is not None and a not in anchors) or not all(
+        0 <= c < (m if i else arity0) for i, c in enumerate(word)
+    ):
+        raise UnknownVertex(str(source))
+    h, cap, visited = len(word), _vertex_cap(), 0
+    layer, basin = [], []
+    # Entries are (address, the neighbour it was reached from).  In a tree
+    # every other neighbour is one step further from the source.
+    frontier = [((a, word), None)]
+    for k in range(radius + 1):
+        visited += len(frontier)
+        if visited > cap:
+            raise LimitExceeded(f"vertex cap {cap} exceeded")
+        layer.append(sum(len(u[1]) == h for u, _ in frontier))
+        basin.append(len(frontier))
+        if k == radius:
+            break
+        nxt = []
+        for u, back in frontier:
+            a, w = u
+            if w:
+                step = [(a, w[:-1])]
+                if len(w) < h:
+                    step += [(a, w + (c,)) for c in range(m)]
+            else:
+                step = [(a, (c,)) for c in range(arity0)] if h else []
+                step += [(b, ()) for b in (a - 1, a + 1) if anchors is None or b in anchors]
+            nxt += [(x, u) for x in step if x != back]
+        frontier = nxt
+    return tuple(layer), tuple(basin)
 
 
 def _anchor_separation(kind: BasinKind, a: int, b: int) -> int:

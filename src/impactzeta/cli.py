@@ -31,6 +31,7 @@ from .building import (
     BuildingSpec,
     TruncatedTree,
     build_truncated,
+    distance_profile,
     layer_members,
 )
 from .errors import ClosedFormMismatch, ImpactZetaError
@@ -38,7 +39,6 @@ from .genfun import (
     basin_genfun,
     geodesic_genfun_q,
     layer_genfun,
-    oracle_halfwidth,
     reachable_count_closed,
     reachable_count_oracle,
     way_out_vertex,
@@ -162,15 +162,14 @@ def cmd_genfun(args) -> int:
 
 def cmd_counts(args) -> int:
     spec = BuildingSpec(_KIND_NAMES[args.basin], args.m)
-    tree = build_truncated(spec, args.n, oracle_halfwidth(spec.kind, args.n, args.max_d))
-    v = way_out_vertex(spec, args.n)
+    profile = distance_profile(spec, way_out_vertex(spec, args.n), args.max_d)
     # Closed values from the series of the layer generating function; for
     # n >= 1 these agree with the piecewise walk-count formula.
     closed_series = series_expand(layer_genfun(spec, args.n), args.max_d).at_q(0)
     rows = []
     for d in range(args.max_d + 1):
-        r_oracle = reachable_count_oracle(tree, v, d, "layer")
-        p_oracle = reachable_count_oracle(tree, v, d, "basin")
+        r_oracle = reachable_count_oracle(profile, d, "layer")
+        p_oracle = reachable_count_oracle(profile, d, "basin")
         closed = closed_series[d]
         if args.n >= 1:
             formula = reachable_count_closed(spec, args.n, d)
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta.add_argument("--case", required=True, choices=cases)
     p_zeta.add_argument("-n", type=_nonnegative, required=True)
     p_zeta.add_argument("--q", type=int, default=None)
-    p_zeta.add_argument("--series-terms", type=int, default=None)
+    p_zeta.add_argument("--series-terms", type=_nonnegative, default=None)
     p_zeta.add_argument("--format", choices=["json", "text"], default="text")
     p_zeta.add_argument("--output", default=None)
     p_zeta.set_defaults(func=cmd_zeta)
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--basin", required=True, choices=cases)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("-n", type=_nonnegative, required=True)
-    p_gen.add_argument("--series-terms", type=int, default=None)
+    p_gen.add_argument("--series-terms", type=_nonnegative, default=None)
     p_gen.add_argument("--format", choices=["json", "text"], default="text")
     p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(func=cmd_genfun)

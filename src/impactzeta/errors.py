@@ -18,7 +18,7 @@ class UnknownVertex(ImpactZetaError):
 
 
 class LimitExceeded(ImpactZetaError):
-    """A truncated tree would exceed the configured vertex cap."""
+    """A truncated tree or a BFS ball would exceed the configured vertex cap."""
 
 
 class RadiusTooSmall(ImpactZetaError):
@@ -26,7 +26,7 @@ class RadiusTooSmall(ImpactZetaError):
 
 
 class TruncationInsufficient(ImpactZetaError):
-    """A counted sphere would touch the truncation boundary."""
+    """A walk count asks for a distance beyond the BFS that was run."""
 
 
 class UnsupportedHeight(ImpactZetaError):

@@ -5,6 +5,9 @@ reachable from v by a walk of length d, and ``p(d, v)`` counts the
 reachable vertices of height at most n.  On a tree, x is reachable by a
 walk of length d exactly when d >= d(x, v) and d has the same parity as
 d(x, v), which is what both the closed forms and the BFS oracle implement.
+The oracle reads the counts of one :func:`building.distance_profile` per
+source: a BFS over vertex addresses that never climbs above the height of
+its source, so it needs no truncated tree.
 
 The closed forms for the way-out vertices O_n share one shape across the
 three basins:
@@ -27,13 +30,7 @@ apartment case, the BFS oracle is the arbiter of the exact coefficients
 
 from __future__ import annotations
 
-from .building import (
-    BasinKind,
-    BuildingSpec,
-    TruncatedTree,
-    VertexAddr,
-    way_out_vertex,
-)
+from .building import BasinKind, BuildingSpec, distance_profile, way_out_vertex
 from .errors import TruncationInsufficient, UnsupportedHeight
 from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
 from .report import CheckResult
@@ -123,39 +120,18 @@ def reachable_count_closed(spec: BuildingSpec, n: int, d: int) -> int:
     return (ell + 1) * (m - 1) * m ** (n - 1)
 
 
-def oracle_halfwidth(kind: BasinKind, radius: int, max_d: int) -> int:
-    """Split halfwidth for an oracle tree queried at the way-out vertices.
-
-    Walks of length up to max_d must stay inside (``_check_coverage``), and
-    ``build_truncated`` needs at least the radius; the other basins take 0.
-    """
-    return max(max_d, radius) if kind is BasinKind.SPLIT else 0
-
-
-def _check_coverage(tree: TruncatedTree, v: VertexAddr, d: int):
-    if v not in tree:
-        raise TruncationInsufficient(f"{v} is outside the truncation")
-    if tree.radius < v.height:
-        raise TruncationInsufficient(
-            f"radius {tree.radius} does not cover height {v.height}"
-        )
-    if tree.spec.kind is BasinKind.SPLIT and tree.halfwidth < abs(v.anchor) + d:
-        raise TruncationInsufficient(
-            f"halfwidth {tree.halfwidth} cannot certify walks of length {d} from {v}"
-        )
-
-
 def reachable_count_oracle(
-    tree: TruncatedTree, v: VertexAddr, d: int, which: str = "layer"
+    profile: tuple[tuple[int, ...], tuple[int, ...]], d: int, which: str = "layer"
 ) -> int:
     """BFS oracle for r(d, v) / p(d, v): distance <= d and matching parity.
 
-    Sums the BFS distance histogram from v over d, d - 2, ..., d mod 2.
+    Sums the ``distance_profile`` of v over distances d, d - 2, ..., d mod 2.
     """
-    _check_coverage(tree, v, d)
     if which not in ("layer", "basin"):
         raise ValueError(f"which must be 'layer' or 'basin', got {which!r}")
-    layer, basin = tree.distance_profile(v)
+    layer, basin = profile
+    if d >= len(layer):
+        raise TruncationInsufficient(f"no BFS count at distance {d} > {len(layer) - 1}")
     counts = layer if which == "layer" else basin
     return sum(counts[d % 2 : d + 1 : 2]) if d >= 0 else 0
 
@@ -187,7 +163,7 @@ def check_geodesic_q(kind: BasinKind, n_max: int) -> list[CheckResult]:
 
 
 def oracle_series_check(
-    tree: TruncatedTree, n: int, max_d: int
+    spec: BuildingSpec, n: int, max_d: int
 ) -> list[CheckResult]:
     """Compare closed-form series coefficients with the BFS oracle at O_n.
 
@@ -195,15 +171,14 @@ def oracle_series_check(
     of the layer generating function for every n) and the basin counts
     (series coefficients of the basin generating function).
     """
-    spec = tree.spec
-    v = way_out_vertex(spec, n)
+    profile = distance_profile(spec, way_out_vertex(spec, n), max_d)
     layer_series = series_expand(layer_genfun(spec, n), max_d).at_q(0)
     basin_series = series_expand(basin_genfun(spec, n), max_d).at_q(0)
     results = []
     label = f"{spec.kind.value} m={spec.m} n={n}"
     for d in range(max_d + 1):
-        r_oracle = reachable_count_oracle(tree, v, d, "layer")
-        p_oracle = reachable_count_oracle(tree, v, d, "basin")
+        r_oracle = reachable_count_oracle(profile, d, "layer")
+        p_oracle = reachable_count_oracle(profile, d, "basin")
         ok_r = layer_series[d] == r_oracle
         ok_p = basin_series[d] == p_oracle
         if n >= 1:

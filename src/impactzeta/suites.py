@@ -5,7 +5,7 @@ Three suites:
 * identities: symbolic checks (numerator families, the correspondence
   between principal zeta and layer generating functions, both recurrences,
   the geodesic relation).
-* oracle: truncated-tree BFS counts against the closed forms.
+* oracle: height-pruned BFS counts against the closed forms.
 * arithmetic: the p-adic enumeration oracle against the type-counting
   results (unit indices, type histograms, principal and full series
   prefixes, vertex locations and distances, the traveling map), and its
@@ -21,17 +21,16 @@ from typing import Iterable, Optional
 from .building import (
     BasinKind,
     BuildingSpec,
-    build_line_tree,
     build_truncated,
     distance,
     layer_members,
+    line_spec,
 )
 from .genfun import (
     basin_genfun_q,
     check_geodesic_q,
     check_recurrence_q,
     layer_genfun_q,
-    oracle_halfwidth,
     oracle_series_check,
     way_out_vertex,
 )
@@ -82,9 +81,8 @@ def oracle_suite(
     results: list[CheckResult] = []
     for kind, m in product(ALL_KINDS, ms):
         spec = BuildingSpec(kind, m)
-        tree = build_truncated(spec, n_max, oracle_halfwidth(kind, n_max, d_max))
         for n in range(n_max + 1):
-            results.extend(oracle_series_check(tree, n, d_max))
+            results.extend(oracle_series_check(spec, n, d_max))
     return results
 
 
@@ -94,7 +92,7 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
     On the line, the vertex-basin layer function is (1 + X^{2n})/(1 - X^2)
     and the edge-basin basin function is (1 + X^2 + ... + X^{2n})/(1 - X).
     Each ``line oracle`` check folds the per-d checks of
-    :func:`oracle_series_check` on the line tree into one.
+    :func:`oracle_series_check` on the line into one.
     """
     results: list[CheckResult] = []
     one_minus_x2 = ONE - x_pow(2)
@@ -116,9 +114,9 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
             CheckResult(f"line ramified basin n={n}", ram_basin == expected_basin)
         )
     for kind in (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED):
-        tree = build_line_tree(kind, n_max)
+        spec = line_spec(kind)
         for n in range(n_max + 1):
-            ok = all_passed(oracle_series_check(tree, n, d_max))
+            ok = all_passed(oracle_series_check(spec, n, d_max))
             results.append(CheckResult(f"line oracle {kind.value} n={n}", ok))
     return results
 

@@ -10,8 +10,8 @@ from itertools import product
 from impactzeta.building import (
     BasinKind,
     BuildingSpec,
-    build_line_tree,
-    build_truncated,
+    distance_profile,
+    line_spec,
     way_out_vertex,
 )
 from impactzeta.genfun import (
@@ -108,15 +108,13 @@ def test_acceptance_5_combinatorial_oracle():
     ok = True
     for kind, m in product(ALL_KINDS, (2, 3)):
         spec = BuildingSpec(kind, m)
-        halfwidth = d_max + 1 if kind is BasinKind.SPLIT else 0
-        tree = build_truncated(spec, n_max, halfwidth)
         for n in range(n_max + 1):
-            v = way_out_vertex(spec, n)
+            profile = distance_profile(spec, way_out_vertex(spec, n), d_max)
             layer_series = series_expand(layer_genfun(spec, n), d_max).at_q(0)
             basin_series = series_expand(basin_genfun(spec, n), d_max).at_q(0)
             for d in range(d_max + 1):
-                r_oracle = reachable_count_oracle(tree, v, d, "layer")
-                p_oracle = reachable_count_oracle(tree, v, d, "basin")
+                r_oracle = reachable_count_oracle(profile, d, "layer")
+                p_oracle = reachable_count_oracle(profile, d, "basin")
                 ok = ok and layer_series[d] == r_oracle
                 ok = ok and basin_series[d] == p_oracle
                 if n >= 1:
@@ -125,10 +123,10 @@ def test_acceptance_5_combinatorial_oracle():
             # threshold, slope (l+1)(m-1)m^{n-1} beyond it.
             if kind is BasinKind.SPLIT and n >= 1:
                 for k in range(n):
-                    ok = ok and reachable_count_oracle(tree, v, 2 * k) == m**k
+                    ok = ok and reachable_count_oracle(profile, 2 * k) == m**k
                 for ell in range(d_max - 2 * n + 1):
                     want = (ell + 1) * (m - 1) * m ** (n - 1)
-                    ok = ok and reachable_count_oracle(tree, v, 2 * n + ell) == want
+                    ok = ok and reachable_count_oracle(profile, 2 * n + ell) == want
     elapsed = time.time() - start
     ok = ok and elapsed < 30.0
     _report(
@@ -166,8 +164,8 @@ def test_acceptance_7_degenerate_line_fixture():
     one_minus_x = ONE - x_pow(1)
     one_minus_x2 = ONE - x_pow(2)
     d_max = 12
-    unram_line = build_line_tree(BasinKind.UNRAMIFIED, 5)
-    ram_line = build_line_tree(BasinKind.RAMIFIED, 5)
+    unram_line = line_spec(BasinKind.UNRAMIFIED)
+    ram_line = line_spec(BasinKind.RAMIFIED)
     for n in range(6):
         layer_m1 = layer_genfun_q(BasinKind.UNRAMIFIED, n).subs_q(1)
         expected = RationalFn(ONE if n == 0 else ONE + x_pow(2 * n), one_minus_x2)
@@ -176,15 +174,15 @@ def test_acceptance_7_degenerate_line_fixture():
         geometric = sum((x_pow(2 * k) for k in range(n + 1)), ZERO)
         ok = ok and basin_m1 == RationalFn(geometric, one_minus_x)
         # BFS on the two line fixtures agrees with the specialized series.
-        v_u = way_out_vertex(unram_line.spec, n)
-        v_r = way_out_vertex(ram_line.spec, n)
+        unram_profile = distance_profile(unram_line, way_out_vertex(unram_line, n), d_max)
+        ram_profile = distance_profile(ram_line, way_out_vertex(ram_line, n), d_max)
         layer_series = series_expand(layer_m1, d_max).at_q(0)
         basin_series = series_expand(basin_m1, d_max).at_q(0)
         for d in range(d_max + 1):
             ok = ok and layer_series[d] == reachable_count_oracle(
-                unram_line, v_u, d, "layer"
+                unram_profile, d, "layer"
             )
             ok = ok and basin_series[d] == reachable_count_oracle(
-                ram_line, v_r, d, "basin"
+                ram_profile, d, "basin"
             )
     _report(7, "m = 1 line fixtures reproduce the degenerate closed forms", ok)

@@ -11,6 +11,7 @@ from impactzeta.building import (
     build_line_tree,
     build_truncated,
     distance,
+    distance_profile,
     first_arity,
     layer_members,
     way_out_vertex,
@@ -255,15 +256,23 @@ def test_deep_line_tree_builds_without_recursion(kind):
     far = way_out_vertex(tree.spec, radius)
     assert far in tree
     # From O_R the only other height-R vertex is the far end of the line.
-    layer, _ = tree.distance_profile(far)
+    layer, _ = distance_profile(tree.spec, far, 2 * radius + basin - 1)
     assert len(layer) == 2 * radius + basin
     assert layer[0] == layer[-1] == 1 and sum(layer) == 2
 
 
-def test_distance_profile_cache_is_bounded():
-    from impactzeta.building import PROFILE_CACHE_SIZE
-
-    tree = build_truncated(BuildingSpec(BasinKind.UNRAMIFIED, 3), 4)
-    for v in tree.vertices[: PROFILE_CACHE_SIZE + 10]:
-        tree.distance_profile(v)
-    assert len(tree._profiles) == PROFILE_CACHE_SIZE
+@pytest.mark.parametrize(
+    "kind,address",
+    [
+        (BasinKind.UNRAMIFIED, VertexAddr(1)),
+        (BasinKind.UNRAMIFIED, VertexAddr(0, (3,))),
+        (BasinKind.RAMIFIED, VertexAddr(2)),
+        (BasinKind.RAMIFIED, VertexAddr(1, (2,))),
+        (BasinKind.SPLIT, VertexAddr(-5, (1,))),
+        (BasinKind.SPLIT, VertexAddr(3, (0, 2))),
+        (BasinKind.SPLIT, VertexAddr(0, (-1,))),
+    ],
+)
+def test_distance_profile_rejects_addresses_outside_the_tree(kind, address):
+    with pytest.raises(UnknownVertex):
+        distance_profile(BuildingSpec(kind, 2), address, 3)

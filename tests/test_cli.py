@@ -136,7 +136,7 @@ def test_enumerate_has_no_precision_option(capsys):
 
 
 def test_verify_oracle_with_max_n_beyond_max_d(capsys):
-    # The split truncation must reach the radius even when d_max + 1 < n_max.
+    # Sources higher than the longest walk are checked too.
     code, out, err = run(
         capsys, "verify", "--suite", "oracle", "--max-n", "4", "--max-d", "2",
         "--format", "json",
@@ -263,6 +263,36 @@ def test_counts_table(capsys):
         assert r_closed == r_oracle
 
 
+def test_counts_reach_a_height_beyond_the_old_truncation(capsys):
+    code, out, err = run(
+        capsys, "counts", "--basin", "unramified", "--m", "3", "-n", "12",
+        "--max-d", "4", "--format", "json",
+    )
+    assert code == 0, err
+    rows = json.loads(out)["results"]["counts"]
+    assert len(rows) == 5
+    assert all(row["r_oracle"] == row["r_closed"] for row in rows)
+
+
+def test_verify_oracle_reach_beyond_the_old_truncation(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "oracle", "--max-n", "8", "--max-d", "18",
+        "--format", "json",
+    )
+    assert code == 0, err
+    assert json.loads(out)["results"] == {"checks": 1026, "passed": 1026, "failed": 0}
+
+
+def test_vertex_cap_bounds_the_ball(capsys, monkeypatch):
+    monkeypatch.setenv("IMPACTZETA_MAX_VERTICES", "100")
+    code, out, err = run(
+        capsys, "counts", "--basin", "split", "--m", "3", "-n", "3", "--max-d", "12"
+    )
+    assert code == 1
+    assert out == ""
+    assert "vertex cap 100 exceeded" in err
+
+
 def test_verify_all_quick(capsys):
     code, out, _ = run(
         capsys,
@@ -369,6 +399,20 @@ def test_negative_sizes_rejected_at_parse_time(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--case", "split", "-n", "2", "--series-terms", "-1"],
+        ["genfun", "--basin", "split", "--m", "2", "-n", "2", "--series-terms", "-1"],
+    ],
+)
+def test_negative_series_terms_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --series-terms: must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_arithmetic_zero_bound(capsys):

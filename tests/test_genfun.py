@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from impactzeta.building import (
     BuildingSpec,
     build_line_tree,
     build_truncated,
+    distance_profile,
     way_out_vertex,
 )
 from impactzeta.errors import TruncationInsufficient, UnsupportedHeight
@@ -15,7 +18,6 @@ from impactzeta.genfun import (
     check_recurrence_q,
     geodesic_genfun_q,
     layer_genfun,
-    oracle_halfwidth,
     oracle_series_check,
     reachable_count_closed,
     reachable_count_oracle,
@@ -32,9 +34,10 @@ def spec(kind, m):
     return BuildingSpec(kind, m)
 
 
-def tree_for(kind, m, radius, extra=8):
-    hw = radius + extra if kind is SPLIT else 0
-    return build_truncated(spec(kind, m), radius, hw)
+def oracle(kind, m, n, d, which="layer"):
+    """r(d, O_n) or p(d, O_n) from the distance profile of the way-out vertex."""
+    profile = distance_profile(spec(kind, m), way_out_vertex(spec(kind, m), n), d)
+    return reachable_count_oracle(profile, d, which)
 
 
 # -- closed-form counts ----------------------------------------------------
@@ -56,76 +59,56 @@ def test_split_even_counts_below_threshold():
     # The even coefficient below the saturation threshold is m^k; the
     # off-by-one alternative m^{k-1} disagrees with the BFS oracle.
     m, n, k = 3, 2, 1
-    tree = tree_for(SPLIT, m, n)
-    v = way_out_vertex(tree.spec, n)
-    oracle = reachable_count_oracle(tree, v, 2 * k, "layer")
-    assert oracle == m**k
-    assert oracle != m ** (k - 1)
-    assert reachable_count_closed(tree.spec, n, 2 * k) == oracle
+    count = oracle(SPLIT, m, n, 2 * k)
+    assert count == m**k
+    assert count != m ** (k - 1)
+    assert reachable_count_closed(spec(SPLIT, m), n, 2 * k) == count
 
 
 def test_split_growth_beyond_threshold():
     # At d = 2n + l the count is (l+1)(m-1)m^{n-1}, not l(m-1)m^{n-1}.
     m, n = 3, 1
-    tree = tree_for(SPLIT, m, n, extra=10)
-    v = way_out_vertex(tree.spec, n)
     for ell in range(5):
-        oracle = reachable_count_oracle(tree, v, 2 * n + ell, "layer")
-        assert oracle == (ell + 1) * (m - 1) * m ** (n - 1)
+        count = oracle(SPLIT, m, n, 2 * n + ell)
+        assert count == (ell + 1) * (m - 1) * m ** (n - 1)
 
 
 # -- oracle -----------------------------------------------------------------
 
 
 def test_oracle_examples():
-    unram = tree_for(UNRAM, 2, 2)
-    assert reachable_count_oracle(unram, way_out_vertex(unram.spec, 2), 2) == 2
-    ram = tree_for(RAM, 2, 1)
-    assert reachable_count_oracle(ram, way_out_vertex(ram.spec, 1), 1, "basin") == 1
-    split = tree_for(SPLIT, 2, 1)
-    assert reachable_count_oracle(split, way_out_vertex(split.spec, 1), 0) == 1
+    assert oracle(UNRAM, 2, 2, 2) == 2
+    assert oracle(RAM, 2, 1, 1, "basin") == 1
+    assert oracle(SPLIT, 2, 1, 0) == 1
 
 
 def test_oracle_truncation_guard():
-    split = build_truncated(spec(SPLIT, 2), 1, 2)
+    profile = distance_profile(spec(SPLIT, 2), way_out_vertex(spec(SPLIT, 2), 1), 2)
     with pytest.raises(TruncationInsufficient):
-        reachable_count_oracle(split, way_out_vertex(split.spec, 1), 5)
-    unram = tree_for(UNRAM, 2, 1)
-    with pytest.raises(TruncationInsufficient):
-        reachable_count_oracle(unram, way_out_vertex(unram.spec, 2), 1)
-
-
-@pytest.mark.parametrize(("radius", "max_d"), [(3, 1), (3, 3), (2, 6)])
-def test_oracle_halfwidth_is_the_least_that_covers(radius, max_d):
-    assert oracle_halfwidth(RAM, radius, max_d) == 0
-    halfwidth = oracle_halfwidth(SPLIT, radius, max_d)
-    tree = build_truncated(spec(SPLIT, 2), radius, halfwidth)
-    for n in range(radius + 1):
-        reachable_count_oracle(tree, way_out_vertex(tree.spec, n), max_d)
-    with pytest.raises((TruncationInsufficient, ValueError)):
-        narrow = build_truncated(spec(SPLIT, 2), radius, halfwidth - 1)
-        reachable_count_oracle(narrow, way_out_vertex(narrow.spec, 0), max_d)
+        reachable_count_oracle(profile, 5)
+    assert reachable_count_oracle(profile, -1) == 0
 
 
 def test_oracle_rejects_unknown_height_class():
-    tree = tree_for(UNRAM, 2, 1)
+    profile = distance_profile(spec(UNRAM, 2), way_out_vertex(spec(UNRAM, 2), 1), 2)
     with pytest.raises(ValueError):
-        reachable_count_oracle(tree, way_out_vertex(tree.spec, 1), 2, "layers")
+        reachable_count_oracle(profile, 2, "layers")
 
 
-# -- referee: the per-d scan over the BFS distance map -----------------------
+# -- referee: the scan over the full-tree BFS distance map -------------------
 
 REFEREE_RADIUS = 4
+REFEREE_MAX_D = 2 * REFEREE_RADIUS + 2
 
 
-def _scan_count(dist, h, d, which):
-    """Count the scan way: every vertex of the distance map, for one d."""
+def _scan_count(hist, h, d, which):
+    """Count the scan way: every (distance, height) bin of the distance map, for one d."""
     count = 0
-    for x, dx in dist.items():
+    for (dx, hx), vertices in hist.items():
         reached = dx <= d and (d - dx) % 2 == 0
-        in_class = x.height == h if which == "layer" else x.height <= h
+        in_class = hx == h if which == "layer" else hx <= h
         if reached and in_class:
-            count += 1
+            count += vertices
     return count
 
 
@@ -133,8 +116,19 @@ def _referee_tree(name):
     if name.startswith("line-"):
         return build_line_tree(BasinKind(name[5:]), REFEREE_RADIUS)
     kind, m = name.rsplit("-", 1)
-    # Split walks of length 2R + 2 from anchor 0 need halfwidth 2R + 2.
-    return tree_for(BasinKind(kind), int(m), REFEREE_RADIUS, extra=REFEREE_RADIUS + 2)
+    halfwidth = REFEREE_MAX_D if kind == SPLIT.value else 0
+    return build_truncated(spec(BasinKind(kind), int(m)), REFEREE_RADIUS, halfwidth)
+
+
+def _covered_d(tree, v):
+    """Largest d whose ball (height <= h(v), distance <= d from v) is in the tree.
+
+    Every height up to the radius is covered; on the split basin that ball
+    reaches the anchors within d - h(v) of the anchor of v.
+    """
+    if tree.spec.kind is SPLIT:
+        return min(REFEREE_MAX_D, tree.halfwidth - abs(v.anchor) + v.height)
+    return REFEREE_MAX_D
 
 
 @pytest.mark.parametrize(
@@ -143,15 +137,22 @@ def _referee_tree(name):
     + ["line-unramified", "line-ramified"],
 )
 def test_histogram_oracle_matches_scan_referee(name):
+    # Every source of height <= 2, not only the way-out vertices: split
+    # anchors other than 0 and the second ramified anchor take other
+    # neighbour rules at the basin.  Higher up, the way-out vertices.
     tree = _referee_tree(name)
-    for n in range(REFEREE_RADIUS + 1):
-        v = way_out_vertex(tree.spec, n)
-        dist = tree.bfs_distances(v)
-        for d in range(2 * REFEREE_RADIUS + 3):
+    sources = [v for v in tree.vertices if v.height <= 2] + [
+        way_out_vertex(tree.spec, n) for n in range(3, REFEREE_RADIUS + 1)
+    ]
+    for v in sources:
+        max_d = _covered_d(tree, v)
+        profile = distance_profile(tree.spec, v, max_d)
+        hist = Counter((dx, x.height) for x, dx in tree.bfs_distances(v).items())
+        for d in range(max_d + 1):
             for which in ("layer", "basin"):
-                assert reachable_count_oracle(tree, v, d, which) == _scan_count(
-                    dist, n, d, which
-                ), (n, d, which)
+                assert reachable_count_oracle(profile, d, which) == _scan_count(
+                    hist, v.height, d, which
+                ), (v, d, which)
 
 
 # -- closed forms -----------------------------------------------------------
@@ -199,9 +200,7 @@ def test_geodesic_examples():
     # Edge basin, n = 0: one basin vertex at distance 0, one at distance 1.
     g = geodesic_genfun_q(RAM, 0, "layer").subs_q(2)
     assert g == RationalFn(ONE + x_pow(1), ONE)
-    tree = tree_for(RAM, 2, 1)
-    v = way_out_vertex(tree.spec, 0)
-    layer_at_distance = tree.distance_profile(v)[0]
+    layer_at_distance = distance_profile(spec(RAM, 2), way_out_vertex(spec(RAM, 2), 0), 1)[0]
     assert layer_at_distance[:2] == (1, 1)
     # Vertex basin: geodesic basin flavor is (1 - X^2) * basin, a polynomial.
     basin_geodesic = geodesic_genfun_q(UNRAM, 1, "basin").subs_q(2)
@@ -225,10 +224,8 @@ def test_recurrence_reports():
 @pytest.mark.parametrize("kind", [UNRAM, RAM, SPLIT])
 @pytest.mark.parametrize("m", [2, 3])
 def test_oracle_equivalence_small_grid(kind, m):
-    hw = 9 if kind is SPLIT else 0
-    tree = build_truncated(spec(kind, m), 3, hw)
     for n in range(4):
-        assert all_passed(oracle_series_check(tree, n, 8))
+        assert all_passed(oracle_series_check(spec(kind, m), n, 8))
 
 
 def test_parity_laws():
@@ -258,11 +255,9 @@ def test_monotone_saturation():
     st.integers(0, 3),
 )
 def test_count_table_invariants(kind, m, n):
-    hw = 11 if kind is SPLIT else 0
-    tree = build_truncated(spec(kind, m), max(n, 1), hw)
-    v = way_out_vertex(tree.spec, n)
-    r = [reachable_count_oracle(tree, v, d, "layer") for d in range(9)]
-    p = [reachable_count_oracle(tree, v, d, "basin") for d in range(9)]
+    profile = distance_profile(spec(kind, m), way_out_vertex(spec(kind, m), n), 8)
+    r = [reachable_count_oracle(profile, d, "layer") for d in range(9)]
+    p = [reachable_count_oracle(profile, d, "basin") for d in range(9)]
     assert r[0] == 1
     for d in range(9):
         assert r[d] <= p[d]
