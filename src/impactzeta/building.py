@@ -16,19 +16,17 @@ always ``(0, (0,) * n)``.
 The walk-count oracle needs no truncation: :func:`distance_profile` runs a
 BFS on addresses and never enters a vertex higher than its source.
 
-A :class:`TruncatedTree` is an explicit finite piece of the tree, stored as
-integer-indexed arrays.  Vertices are numbered in ``(anchor, word)`` order,
-which is a depth-first pre-order of each anchor's subtree, so the numbering
-needs no sort.  Per vertex the tree keeps its ``parent`` number (-1 on the
-basin), the child ``digit`` it hangs from, its ``height`` and its neighbor
-numbers in increasing order.  Every subtree below height 1 is complete, so
-an address is turned into its number by arithmetic on subtree sizes.  The
-``vertices`` and ``adjacency`` views in address form are built on first
-use; :meth:`TruncatedTree.bfs_distances` is the referee for the oracle.
+A :class:`TruncatedTree` is an explicit finite piece of the tree: a map
+from each vertex address to its neighbour addresses, built depth first
+from the anchors.  It places the ideals of the orders for the p-adic
+``ClassAtlas``, backs the ``tree`` command, and its
+:meth:`TruncatedTree.bfs_distances` is the referee for :func:`distance` and
+:func:`distance_profile`.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -110,7 +108,11 @@ def _anchor_range(spec: BuildingSpec, halfwidth: int):
 class TruncatedTree:
     """An explicit finite piece of the tree, immutable after construction.
 
-    Built by :func:`build_truncated` and :func:`build_line_tree`.
+    ``adjacency`` maps every vertex address to its neighbour addresses, both
+    keys and neighbours in ``(anchor, word)`` order; ``vertices`` lists the
+    keys in that order.  The tree serves the p-adic ``ClassAtlas``, the
+    ``tree`` command and, through :meth:`bfs_distances`, the tests as a
+    referee.  Built by :func:`build_truncated` and :func:`build_line_tree`.
     """
 
     def __init__(self, spec: BuildingSpec, radius: int, halfwidth: int = 0):
@@ -120,131 +122,62 @@ class TruncatedTree:
         self.radius = radius
         self.halfwidth = halfwidth
         m = spec.m
-        self._arity0 = arity0 = first_arity(spec.kind, m)
-        # _sizes[h]: vertices in the subtree of an off-basin vertex of height h.
-        self._sizes = sizes = [0] * (radius + 2)
-        for h in range(radius, 0, -1):
-            sizes[h] = 1 + m * sizes[h + 1]
+        arity0 = first_arity(spec.kind, m)
         anchors = _anchor_range(spec, halfwidth)
         cap = _vertex_cap()
-        if len(anchors) * (1 + arity0 * sizes[1]) > cap:
+        if len(anchors) * (1 + arity0 * sum(m**h for h in range(radius))) > cap:
             raise LimitExceeded(f"vertex cap {cap} exceeded")
 
-        parent: list[int] = []
-        digit: list[int] = []
-        height: list[int] = []
-        adj: list[list[int]] = []
-        roots: dict[int, int] = {}
-        for j in anchors:
-            roots[j] = len(parent)
-            stack = [(-1, -1, 0)]
-            while stack:
-                p, c, h = stack.pop()
-                i = len(parent)
-                parent.append(p)
-                digit.append(c)
-                height.append(h)
-                if p < 0:
-                    adj.append([])
-                else:
-                    adj.append([p])
-                    adj[p].append(i)
-                if h < radius:
-                    arity = arity0 if h == 0 else m
-                    stack.extend([(i, k, h + 1) for k in range(arity - 1, -1, -1)])
+        basin = {VertexAddr(a): () for a in anchors}
         # Basin edges join consecutive anchors (the ramified edge, the apartment).
-        for a, b in zip(anchors, anchors[1:]):
-            adj[roots[a]].append(roots[b])
-            adj[roots[b]].append(roots[a])
-        for i in roots.values():
-            adj[i].sort()
-
-        self._roots = roots
-        self._parent = parent
-        self._digit = digit
-        self._height = height
-        self._adj = [tuple(ns) for ns in adj]
-        self._vertices: tuple[VertexAddr, ...] | None = None
-        self._adjacency: dict[VertexAddr, tuple[VertexAddr, ...]] | None = None
-
-    def _index(self, v) -> int | None:
-        """Number of the vertex at address v, or None if v is not in the tree."""
-        if not isinstance(v, VertexAddr):
-            return None
-        i = self._roots.get(v.anchor)
-        if i is None or len(v.word) > self.radius:
-            return None
-        arity, sizes = self._arity0, self._sizes
-        for h, c in enumerate(v.word, 1):
-            if not 0 <= c < arity:
-                return None
-            i += 1 + c * sizes[h]
-            arity = self.spec.m
-        return i
-
-    def _require(self, v: VertexAddr) -> int:
-        i = self._index(v)
-        if i is None:
-            raise UnknownVertex(str(v))
-        return i
+        for u, w in itertools.pairwise(basin):
+            basin[u] += (w,)
+            basin[w] += (u,)
+        # Depth first, children in digit order: vertices enter in (anchor,
+        # word) order.  A stack entry holds a vertex and its neighbours
+        # nearer the basin, which precede its children in that order.
+        adjacency: dict[VertexAddr, tuple[VertexAddr, ...]] = {}
+        stack = list(basin.items())[::-1]
+        while stack:
+            u, inner = stack.pop()
+            if u.height < radius:
+                arity = m if u.word else arity0
+                children = [VertexAddr(u.anchor, u.word + (c,)) for c in range(arity)]
+                adjacency[u] = (*inner, *children)
+                up = (u,)
+                stack += [(w, up) for w in reversed(children)]
+            else:
+                adjacency[u] = inner
+        # Only a basin vertex can have a neighbour (the next anchor) that
+        # sorts after its children.
+        for v in basin:
+            adjacency[v] = tuple(sorted(adjacency[v], key=lambda w: (w.anchor, w.word)))
+        self.adjacency = adjacency
+        self.vertices = tuple(adjacency)
 
     def __contains__(self, v: VertexAddr) -> bool:
-        return self._index(v) is not None
+        return v in self.adjacency
 
     def __len__(self) -> int:
-        return len(self._parent)
-
-    @property
-    def vertices(self) -> tuple[VertexAddr, ...]:
-        """Every vertex address, in ``(anchor, word)`` order."""
-        if self._vertices is None:
-            anchor_at = {i: a for a, i in self._roots.items()}
-            out: list[VertexAddr] = []
-            for p, c in zip(self._parent, self._digit):
-                if p < 0:
-                    out.append(VertexAddr(anchor_at[len(out)]))
-                else:
-                    u = out[p]
-                    out.append(VertexAddr(u.anchor, u.word + (c,)))
-            self._vertices = tuple(out)
-        return self._vertices
-
-    @property
-    def adjacency(self) -> dict[VertexAddr, tuple[VertexAddr, ...]]:
-        """Sorted neighbor addresses of every vertex, keyed breadth-first."""
-        if self._adjacency is None:
-            vs, adj = self.vertices, self._adj
-            order = sorted(range(len(vs)), key=self._height.__getitem__)
-            self._adjacency = {vs[i]: tuple(vs[j] for j in adj[i]) for i in order}
-        return self._adjacency
+        return len(self.adjacency)
 
     def neighbors(self, v: VertexAddr) -> tuple[VertexAddr, ...]:
-        vs = self.vertices
-        return tuple(vs[j] for j in self._adj[self._require(v)])
-
-    def _frontiers(self, source: int):
-        """Breadth-first layers from vertex number ``source``: distance 0, 1, ..."""
-        adj = self._adj
-        seen = bytearray(len(adj))
-        seen[source] = 1
-        frontier = [source]
-        while frontier:
-            yield frontier
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        nxt.append(w)
-            frontier = nxt
+        try:
+            return self.adjacency[v]
+        except KeyError:
+            raise UnknownVertex(str(v)) from None
 
     def bfs_distances(self, source: VertexAddr) -> dict[VertexAddr, int]:
         """Graph distances from ``source`` to every truncation vertex (uncached)."""
-        s = self._require(source)
-        vs = self.vertices
-        return {
-            vs[u]: k for k, frontier in enumerate(self._frontiers(s)) for u in frontier
-        }
+        dist = {source: 0}
+        queue = [source]
+        for u in queue:
+            k = dist[u] + 1
+            for w in self.neighbors(u):
+                if w not in dist:
+                    dist[w] = k
+                    queue.append(w)
+        return dist
 
 
 def build_truncated(
@@ -356,7 +289,7 @@ def layer_members(tree: TruncatedTree, n: int) -> frozenset[VertexAddr]:
     """All truncation vertices of height exactly n."""
     if n > tree.radius:
         raise RadiusTooSmall(f"layer {n} not covered by radius {tree.radius}")
-    return frozenset(v for v, h in zip(tree.vertices, tree._height) if h == n)
+    return frozenset(v for v in tree.vertices if v.height == n)
 
 
 def way_out_vertex(spec: BuildingSpec, n: int) -> VertexAddr:

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import __version__
@@ -32,7 +33,6 @@ from .building import (
     TruncatedTree,
     build_truncated,
     distance_profile,
-    layer_members,
 )
 from .errors import ClosedFormMismatch, ImpactZetaError
 from .genfun import (
@@ -303,14 +303,11 @@ def tree_to_dot(tree: TruncatedTree) -> list[str]:
     lines = ["graph building {", "  node [shape=circle];"]
     for v in tree.vertices:
         lines.append(f'  {_dot_id(v)} [label="{v.height}"];')
-    seen = set()
+    # Each edge once, from the endpoint that comes first in vertex order.
     for v in tree.vertices:
         for w in tree.adjacency[v]:
-            key = tuple(sorted(((v.anchor, v.word), (w.anchor, w.word))))
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(f"  {_dot_id(v)} -- {_dot_id(w)};")
+            if (v.anchor, v.word) < (w.anchor, w.word):
+                lines.append(f"  {_dot_id(v)} -- {_dot_id(w)};")
     lines.append("}")
     return lines
 
@@ -319,7 +316,8 @@ def cmd_tree(args) -> int:
     spec = BuildingSpec(_KIND_NAMES[args.basin], args.m)
     halfwidth = args.halfwidth if args.halfwidth is not None else args.radius
     tree = build_truncated(spec, args.radius, halfwidth)
-    layer_sizes = {n: len(layer_members(tree, n)) for n in range(args.radius + 1)}
+    heights = Counter(v.height for v in tree.vertices)
+    layer_sizes = {n: heights[n] for n in range(args.radius + 1)}
     results = {
         "vertices": len(tree),
         "layer_sizes": {str(k): v for k, v in layer_sizes.items()},

@@ -170,7 +170,8 @@ def arithmetic_suite(
                 # (b) type histogram against the counting rules.
                 histogram = Counter(r.type_eps for r in principal)
                 hist_ok = True
-                for omega in _possible_types(case, d_bound):
+                possible = _possible_types(case, d_bound)
+                for omega in possible:
                     desc = classify_type(case, n, omega)
                     predicted = desc.count_expr.subs_q(p).as_int() if desc.occurs else 0
                     if histogram.get(omega, 0) != predicted:
@@ -178,7 +179,8 @@ def arithmetic_suite(
                 results.append(
                     CheckResult(
                         f"type-histogram {label} n={n}",
-                        hist_ok and sum(histogram.values()) == len(principal),
+                        hist_ok
+                        and sum(histogram[w] for w in possible) == len(principal),
                     )
                 )
                 # (c) principal series prefix.

@@ -46,10 +46,27 @@ def test_split_requires_halfwidth():
         build_truncated(BuildingSpec(BasinKind.SPLIT, 2), 3, 1)
 
 
-def test_vertex_cap(monkeypatch):
-    monkeypatch.setenv("IMPACTZETA_MAX_VERTICES", "10")
+def _build(kind, m, radius):
+    """A truncation of each kind; m = 1 gives the line trees."""
+    if m == 1:
+        return build_line_tree(kind, radius)
+    return build_truncated(BuildingSpec(kind, m), radius, radius)
+
+
+@pytest.mark.parametrize(
+    "kind,m,radius",
+    [(kind, m, radius) for kind in BasinKind for m in (2, 3) for radius in (0, 1, 3)]
+    + [(BasinKind.UNRAMIFIED, 1, 3), (BasinKind.RAMIFIED, 1, 3)],
+)
+def test_vertex_cap(monkeypatch, kind, m, radius):
+    # The cap is checked against the predicted count before any vertex is
+    # built; at the exact count the build succeeds, one below it fails.
+    size = len(_build(kind, m, radius))
+    monkeypatch.setenv("IMPACTZETA_MAX_VERTICES", str(size))
+    assert len(_build(kind, m, radius)) == size
+    monkeypatch.setenv("IMPACTZETA_MAX_VERTICES", str(size - 1))
     with pytest.raises(LimitExceeded):
-        build_truncated(BuildingSpec(BasinKind.UNRAMIFIED, 2), 3)
+        _build(kind, m, radius)
 
 
 def test_heights():
@@ -237,6 +254,8 @@ def test_array_tree_matches_address_construction(kind, m, radius, halfwidth):
         assert v not in tree
     with pytest.raises(UnknownVertex):
         tree.neighbors(VertexAddr(0, (0,) * (radius + 1)))
+    with pytest.raises(UnknownVertex):
+        tree.bfs_distances(VertexAddr(0, (0,) * (radius + 1)))
 
 
 @pytest.mark.parametrize("kind", [BasinKind.UNRAMIFIED, BasinKind.RAMIFIED])

@@ -154,6 +154,29 @@ def test_tree_dot(capsys):
     assert out.count("label=") == 10  # 1 + 3 + 6 vertices
     assert out.count(" -- ") == 9
     assert out.startswith("graph")
+    code, out, _ = run(
+        capsys, "tree", "--basin", "ramified", "--m", "2", "--radius", "1",
+        "--format", "dot",
+    )
+    assert code == 0
+    # Vertices in (anchor, word) order; each edge once, from its first endpoint.
+    assert out == "\n".join([
+        "graph building {",
+        "  node [shape=circle];",
+        '  v0 [label="0"];',
+        '  v0_0 [label="1"];',
+        '  v0_1 [label="1"];',
+        '  v1 [label="0"];',
+        '  v1_0 [label="1"];',
+        '  v1_1 [label="1"];',
+        "  v0 -- v0_0;",
+        "  v0 -- v0_1;",
+        "  v0 -- v1;",
+        "  v1 -- v1_0;",
+        "  v1 -- v1_1;",
+        "}",
+        "",
+    ])
 
 
 def test_tree_layer_table(capsys):

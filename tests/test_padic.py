@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -39,6 +40,7 @@ from impactzeta.padic import (
     unit_rep,
 )
 from impactzeta.report import all_passed
+from impactzeta import suites
 from impactzeta.suites import arithmetic_suite
 
 RAM = BasinKind.RAMIFIED
@@ -357,6 +359,20 @@ def test_vertex_layer_reach_at_n3():
     assert "vertex-layer ramified p=2 n=3" in names
     assert "principal-deciders ramified p=2 n=3" in names
     assert all_passed(results), [r.name for r in results if not r.passed]
+
+
+def test_type_histogram_fails_on_a_type_outside_the_grid(monkeypatch):
+    # A principal record whose type no counting rule predicts must not pass.
+    def with_stray_type(*args, **kwargs):
+        records = enumerate_ideals(*args, **kwargs)
+        stray = next(r for r in records if r.principal)
+        return records + [dataclasses.replace(stray, type_eps=99)]
+
+    monkeypatch.setattr(suites, "enumerate_ideals", with_stray_type)
+    results = arithmetic_suite({RAM: (3,)}, 1, 4)
+    histogram = [r for r in results if r.name.startswith("type-histogram ramified p=3")]
+    assert len(histogram) == 2
+    assert not any(r.passed for r in histogram)
 
 
 def test_traveling_examples(ram3):

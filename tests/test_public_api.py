@@ -23,7 +23,6 @@ REFEREES = {
     "slope_map": "referee for the order-q step behind classify_type's q^d",
     "poly_from_json": "inverse of cli.poly_to_json, for round-trip tests",
     "ClassAtlas.lattice_at": "inverse of ClassAtlas.locate, for the bijection test",
-    "TruncatedTree.neighbors": "checked against the layer-by-layer tree build",
 }
 
 _SPAN_STRING = re.compile(r"\w+:[\w.]+")
