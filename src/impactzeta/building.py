@@ -80,7 +80,7 @@ class VertexAddr:
         return len(self.word)
 
     def __str__(self) -> str:
-        body = ".".join(str(i) for i in self.word)
+        body = ".".join(map(str, self.word))
         return f"{self.anchor}" if not body else f"{self.anchor}:{body}"
 
 

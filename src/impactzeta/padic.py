@@ -23,6 +23,11 @@ comparing the Hermite form of alpha*O_n with the ideal.  A second decider,
 the multiplier-ring criterion (I is principal iff p^n*Delta*I is not inside
 p*I), shares nothing with the search and serves as a cross-check.  Neither
 consults the type-counting formulas they are used to check.
+
+Cost: for the index bound B the scan visits sum_{k<=B} sum_{a<=k} p^a
+Hermite forms [[p^a, c], [0, p^(k-a)]] and runs one closure test on each.
+Its loop over 0 <= c < p^a is the reduction condition, so it builds each
+candidate reduced by construction, without the validating constructor.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .building import (
     BasinKind,
@@ -50,6 +55,7 @@ from .orders import ExtensionCase, TypeVector, contribution, extension_case
 from .report import CheckResult
 
 MAX_ENUMERATED_LATTICES = 2_000_000
+MAX_COSET_REPS = 100_000
 # Entries kept by each per-instance cache below (level-0 units, apartment
 # classes, enumerations).
 CACHE_SIZE = 256
@@ -215,8 +221,11 @@ def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
     count = 1
     for r in ranges:
         count *= len(r)
-    if count > 100_000:
-        raise EnumerationOverflow(f"{count} coset representatives requested")
+    if count > MAX_COSET_REPS:
+        raise EnumerationOverflow(
+            f"coset representatives {inst.tag.value} p={inst.p} n={n} d={d}: "
+            f"{count} requested, above MAX_COSET_REPS = {MAX_COSET_REPS}"
+        )
     reps = []
     for combo in itertools.product(*ranges):
         u = QuadElem(inst, 1, 0)
@@ -233,18 +242,22 @@ def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
 # -- lattices -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeHNF:
-    """Column span of [[p^a, c], [0, p^b]] with 0 <= c < p^a."""
-
+class _HNF(NamedTuple):
     p: int
     a_exp: int
     c: int
     b_exp: int
 
-    def __post_init__(self):
-        if not 0 <= self.c < self.p**self.a_exp:
+
+class LatticeHNF(_HNF):
+    """Column span of [[p^a, c], [0, p^b]] with 0 <= c < p^a."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, a_exp: int, c: int, b_exp: int):
+        if not 0 <= c < p**a_exp:
             raise ValueError("off-diagonal entry must be reduced")
+        return tuple.__new__(cls, (p, a_exp, c, b_exp))
 
     @property
     def index_exponent(self) -> int:
@@ -465,9 +478,9 @@ def is_ideal(inst: CaseInstance, n: int, L: LatticeHNF) -> bool:
     (-delta p^{2n} y, x + tau p^n y), and (w0, w1) lies in L iff p^b | w1
     and p^a | w0 - c*w1/p^b.
     """
-    pa = L.p**L.a_exp
-    pb = L.p**L.b_exp
-    c = L.c
+    p, a, c, b = L
+    pa = p**a
+    pb = p**b
     # First column (p^a, 0) maps to (0, p^a).
     if pa % pb or (c * (pa // pb)) % pa:
         return False
@@ -552,14 +565,19 @@ def _enumerate_core(
         p**a for k in range(max_contribution + 1) for a in range(k + 1)
     )
     if total > MAX_ENUMERATED_LATTICES:
-        raise EnumerationOverflow(f"{total} candidate lattices")
+        raise EnumerationOverflow(
+            f"ideal enumeration {inst.tag.value} p={p} n={n} "
+            f"max-contribution={max_contribution}: {total} candidate lattices, "
+            f"above MAX_ENUMERATED_LATTICES = {MAX_ENUMERATED_LATTICES}"
+        )
     on_class = class_rep(order_lattice(p, n))
     records = []
     for k in range(max_contribution + 1):
         for a in range(k + 1):
             b = k - a
             for c in range(p**a):
-                L = LatticeHNF(p, a, c, b)
+                # range(p**a) is the reduction condition: no need to revalidate.
+                L = tuple.__new__(LatticeHNF, (p, a, c, b))
                 if not is_ideal(inst, n, L):
                     continue
                 coords = _find_generator(inst, n, L)

@@ -85,6 +85,12 @@ def test_heights():
         tree.neighbors(VertexAddr(7))
 
 
+def test_address_strings():
+    # The export format: the anchor, then the word joined by dots.
+    addrs = [VertexAddr(-2), VertexAddr(1, (1,)), VertexAddr(0, (0, 12, 3))]
+    assert [str(v) for v in addrs] == ["-2", "1:1", "0:0.12.3"]
+
+
 def test_distance_examples():
     ram = build_truncated(BuildingSpec(BasinKind.RAMIFIED, 2), 2)
     assert distance(ram, VertexAddr(0), VertexAddr(1)) == 1  # across the edge

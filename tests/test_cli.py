@@ -448,6 +448,16 @@ def test_verify_arithmetic_zero_bound(capsys):
     assert doc["results"]["failed"] == 0 and doc["results"]["checks"] > 0
 
 
+def test_enumeration_overflow_names_the_enumeration(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "arithmetic", "--max-n", "3",
+        "--max-contribution", "9",
+    )
+    assert code == 1 and out == ""
+    assert "unramified p=5 n=0 max-contribution=9" in err
+    assert "MAX_ENUMERATED_LATTICES" in err
+
+
 def test_counts_closed_form_mismatch_exit_code(capsys, monkeypatch):
     from impactzeta import cli
 

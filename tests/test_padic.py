@@ -40,7 +40,7 @@ from impactzeta.padic import (
     unit_rep,
 )
 from impactzeta.report import all_passed
-from impactzeta import suites
+from impactzeta import padic, suites
 from impactzeta.suites import arithmetic_suite
 
 RAM = BasinKind.RAMIFIED
@@ -102,8 +102,19 @@ def test_elem_type_examples(ram3, unram3, split3):
 
 def test_enumeration_overflow_guard():
     inst = make_case(RAM, 2)
-    with pytest.raises(EnumerationOverflow):
+    message = (
+        r"ideal enumeration ramified p=2 n=0 max-contribution=22: "
+        r"\d+ candidate lattices, above MAX_ENUMERATED_LATTICES = 2000000"
+    )
+    with pytest.raises(EnumerationOverflow, match=message):
         enumerate_ideals(inst, 0, 22)
+    # 3^11 = 177147 products of level representatives.
+    message = (
+        r"coset representatives ramified p=3 n=11 d=11: "
+        r"177147 requested, above MAX_COSET_REPS = 100000"
+    )
+    with pytest.raises(EnumerationOverflow, match=message):
+        coset_reps(make_case(RAM, 3), 11, 11)
 
 
 # -- unit filtration ----------------------------------------------------------
@@ -206,6 +217,24 @@ def test_apartment_lattice_positions(split3):
             assert d == abs(i - j)
 
 
+def test_lattice_record_contract(ram3):
+    with pytest.raises(ValueError, match="reduced"):
+        LatticeHNF(3, 2, 9, 0)  # c = p^a
+    with pytest.raises(ValueError, match="reduced"):
+        LatticeHNF(3, 2, -1, 0)
+    L = LatticeHNF(3, 4, 17, 2)
+    with pytest.raises(AttributeError):
+        L.c = 1
+    twin = hnf(3, 81, 17, 0, 9)
+    assert twin == L and hash(twin) == hash(L)
+    assert len({L, twin, LatticeHNF(3, 4, 17, 1)}) == 2
+    assert (str(L), L.key(), L.index_exponent) == ("[[3^4,17],[0,3^2]]", (4, 17, 2), 6)
+    assert repr(L) == "LatticeHNF(p=3, a_exp=4, c=17, b_exp=2)"
+    # traveling's image set: distinct ideals of O_0 stay distinct in O_1.
+    inner = enumerate_ideals(ram3, 0, 3)
+    assert len({traveling(ram3, 0, r.lattice) for r in inner}) == len(inner)
+
+
 def _acted_class(inst, u, base):
     """Homothety class of u * base, multiplying each column of base by u."""
     b00, b01, b10, b11 = base.matrix()
@@ -267,6 +296,33 @@ def test_enumerate_histogram_unramified():
     records = enumerate_ideals(inst, 1, 2)
     by_c = Counter(r.contribution for r in records if r.principal)
     assert by_c == {0: 1, 2: 6}
+
+
+@pytest.mark.parametrize("tag", [RAM, UNRAM, SPLIT])
+def test_scan_visits_every_reduced_hermite_form_once(monkeypatch, tag):
+    p, bound = 3, 4
+    inst = make_case(tag, p)
+    seen = []
+
+    def recording(inst, n, L):
+        seen.append(L)
+        return is_ideal(inst, n, L)
+
+    _enumerate_core.cache_clear()
+    monkeypatch.setattr(padic, "is_ideal", recording)
+    enumerate_ideals(inst, 1, bound)
+    keys = [L.key() for L in seen]
+    expected = {
+        (a, c, k - a)
+        for k in range(bound + 1)
+        for a in range(k + 1)
+        for c in range(p**a)
+    }
+    assert len(keys) == len(set(keys)) and set(keys) == expected
+    assert len(seen) == sum(p**a for k in range(bound + 1) for a in range(k + 1))
+    # The scan builds its candidates without validation; the checked
+    # constructor must accept every one of them.
+    assert all(LatticeHNF(*L) == L for L in seen)
 
 
 def test_caches_are_bounded():
