@@ -14,7 +14,8 @@ reserved for the way-out direction, so the way-out vertex of height n is
 always ``(0, (0,) * n)``.
 
 The walk-count oracle needs no truncation: :func:`distance_profile` runs a
-BFS on addresses and never enters a vertex higher than its source.
+BFS over states (anchor, height, arrival edge), each carrying the number of
+vertices in it, and never enters a vertex higher than its source.
 
 A :class:`TruncatedTree` is an explicit finite piece of the tree: a map
 from each vertex address to its neighbour addresses, built depth first
@@ -27,13 +28,14 @@ from the anchors.  It places the ideals of the orders for the p-adic
 from __future__ import annotations
 
 import itertools
-import os
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import LimitExceeded, RadiusTooSmall, UnknownVertex
 
-DEFAULT_MAX_VERTICES = 200_000
+# Largest truncated tree, and most BFS states one distance profile may visit.
+MAX_VERTICES = 200_000
 
 
 class BasinKind(Enum):
@@ -93,10 +95,6 @@ def first_arity(kind: BasinKind, m: int) -> int:
     return m - 1
 
 
-def _vertex_cap() -> int:
-    return int(os.environ.get("IMPACTZETA_MAX_VERTICES", DEFAULT_MAX_VERTICES))
-
-
 def _anchor_range(spec: BuildingSpec, halfwidth: int):
     if spec.kind is BasinKind.UNRAMIFIED:
         return [0]
@@ -124,9 +122,12 @@ class TruncatedTree:
         m = spec.m
         arity0 = first_arity(spec.kind, m)
         anchors = _anchor_range(spec, halfwidth)
-        cap = _vertex_cap()
-        if len(anchors) * (1 + arity0 * sum(m**h for h in range(radius))) > cap:
-            raise LimitExceeded(f"vertex cap {cap} exceeded")
+        size = len(anchors) * (1 + arity0 * sum(m**h for h in range(radius)))
+        if size > MAX_VERTICES:
+            raise LimitExceeded(
+                f"truncated tree {spec.kind.value} m={m} radius={radius} "
+                f"halfwidth={halfwidth}: {size} vertices, above MAX_VERTICES = {MAX_VERTICES}"
+            )
 
         basin = {VertexAddr(a): () for a in anchors}
         # Basin edges join consecutive anchors (the ramified edge, the apartment).
@@ -186,8 +187,7 @@ def build_truncated(
     """Materialize all vertices of height <= radius (split: |j| <= halfwidth).
 
     Adjacency is complete for vertices of height < radius.  Raises
-    :class:`LimitExceeded` when the vertex count would exceed the cap from
-    the ``IMPACTZETA_MAX_VERTICES`` environment variable.
+    :class:`LimitExceeded` when the vertex count would exceed ``MAX_VERTICES``.
     """
     if spec.kind is BasinKind.SPLIT and apartment_halfwidth < radius:
         raise ValueError("split truncation needs apartment_halfwidth >= radius")
@@ -210,41 +210,53 @@ def distance_profile(
     h; both have length ``radius + 1``.  The BFS never enters a vertex above
     h.  That loses none of them: height is the distance to the basin, a
     convex subtree, so along a geodesic it is largest at one of the two ends
-    (Serre, *Trees*, ch. II).  Each visited vertex counts against the
-    ``IMPACTZETA_MAX_VERTICES`` cap.
+    (Serre, *Trees*, ch. II).
+
+    The BFS runs on states ``(anchor, height, arrival)``, the arrival being
+    how the vertex was entered: as the source, from its parent, from a child
+    or from a neighbouring anchor.  Vertices in one state have the same
+    onward steps, so each state carries the number of vertices in it (the
+    transfer-matrix method: Stanley, *Enumerative Combinatorics* I, 4.7).
+    Each visited state counts against ``MAX_VERTICES``.
     """
     m, arity0 = spec.m, first_arity(spec.kind, spec.m)
     # Basin edges join consecutive anchors; every integer anchors the apartment.
     anchors = None if spec.kind is BasinKind.SPLIT else _anchor_range(spec, 0)
-    a, word = source.anchor, source.word
-    if (anchors is not None and a not in anchors) or not all(
+    a0, word = source.anchor, source.word
+    if (anchors is not None and a0 not in anchors) or not all(
         0 <= c < (m if i else arity0) for i, c in enumerate(word)
     ):
         raise UnknownVertex(str(source))
-    h, cap, visited = len(word), _vertex_cap(), 0
+    h, visited = len(word), 0
     layer, basin = [], []
-    # Entries are (address, the neighbour it was reached from).  In a tree
-    # every other neighbour is one step further from the source.
-    frontier = [((a, word), None)]
+    frontier = Counter({(a0, h, "source"): 1})
     for k in range(radius + 1):
         visited += len(frontier)
-        if visited > cap:
-            raise LimitExceeded(f"vertex cap {cap} exceeded")
-        layer.append(sum(len(u[1]) == h for u, _ in frontier))
-        basin.append(len(frontier))
+        if visited > MAX_VERTICES:
+            raise LimitExceeded(
+                f"distance profile {spec.kind.value} m={m} source={source} "
+                f"radius={radius}: {visited} states, above MAX_VERTICES = {MAX_VERTICES}"
+            )
+        layer.append(sum(count for (_, t, _), count in frontier.items() if t == h))
+        basin.append(sum(frontier.values()))
         if k == radius:
             break
-        nxt = []
-        for u, back in frontier:
-            a, w = u
-            if w:
-                step = [(a, w[:-1])]
-                if len(w) < h:
-                    step += [(a, w + (c,)) for c in range(m)]
-            else:
-                step = [(a, (c,)) for c in range(arity0)] if h else []
-                step += [(b, ()) for b in (a - 1, a + 1) if anchors is None or b in anchors]
-            nxt += [(x, u) for x in step if x != back]
+        # In a tree every neighbour but the one a vertex was entered from is
+        # one step further from the source.
+        nxt: Counter = Counter()
+        for (a, t, arrival), count in frontier.items():
+            # Up to every child but the one it came from (none at m = 1, or
+            # at the split basin with m = 2).
+            children = (m if t else arity0) - (arrival == "child")
+            if t < h and children:
+                nxt[a, t + 1, "parent"] += count * children
+            if t and arrival != "parent":
+                nxt[a, t - 1, "child"] += count
+            if not t:
+                # Along the basin, away from the source's anchor.
+                for b in (a - 1, a + 1):
+                    if abs(b - a0) > abs(a - a0) and (anchors is None or b in anchors):
+                        nxt[b, 0, "side"] += count
         frontier = nxt
     return tuple(layer), tuple(basin)
 

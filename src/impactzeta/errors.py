@@ -18,7 +18,7 @@ class UnknownVertex(ImpactZetaError):
 
 
 class LimitExceeded(ImpactZetaError):
-    """A truncated tree or a BFS ball would exceed the configured vertex cap."""
+    """A truncated tree or a walk-count BFS would exceed ``building.MAX_VERTICES``."""
 
 
 class RadiusTooSmall(ImpactZetaError):

@@ -6,8 +6,9 @@ reachable vertices of height at most n.  On a tree, x is reachable by a
 walk of length d exactly when d >= d(x, v) and d has the same parity as
 d(x, v), which is what both the closed forms and the BFS oracle implement.
 The oracle reads the counts of one :func:`building.distance_profile` per
-source: a BFS over vertex addresses that never climbs above the height of
-its source, so it needs no truncated tree.
+source: a BFS over states (anchor, height, arrival edge) with a vertex
+count for each, that never climbs above the height of its source, so it
+needs no truncated tree.
 
 The closed forms for the way-out vertices O_n share one shape across the
 three basins:

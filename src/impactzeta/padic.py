@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -126,10 +127,6 @@ class QuadElem:
             x1 * y2 + y1 * x2 + tau * y1 * y2,
         )
 
-    def conj(self) -> QuadElem:
-        """The algebra conjugate: x + y*(tau - Delta)."""
-        return QuadElem(self.inst, self.x + self.inst.tau * self.y, -self.y)
-
     def norm(self) -> int:
         """N(x + y*Delta) = x^2 + tau*x*y + delta*y^2."""
         tau, delta = self.inst.tau, self.inst.delta
@@ -151,13 +148,9 @@ def _val(p: int, r: int) -> int:
     return v
 
 
-def in_order(inst: CaseInstance, n: int, a: QuadElem) -> bool:
-    """Membership in O_n = O_K[p^n Delta]: the Delta coordinate has val >= n."""
-    return a.y % inst.p**n == 0
-
-
 def in_order_unit(inst: CaseInstance, n: int, a: QuadElem) -> bool:
-    return in_order(inst, n, a) and a.is_unit()
+    """A unit of O_n = O_K[p^n Delta]: Delta coordinate of val >= n, unit norm."""
+    return a.y % inst.p**n == 0 and a.is_unit()
 
 
 def slope_map(inst: CaseInstance, n: int, u: QuadElem) -> int:
@@ -171,28 +164,35 @@ def slope_map(inst: CaseInstance, n: int, u: QuadElem) -> int:
     return (z * winv) % inst.p
 
 
+def _unit_class(inst: CaseInstance, n: int, u: QuadElem) -> tuple[int, int]:
+    """A key for the coset of the unit u of O_0 in O_0^*/O_n^*.
+
+    O_n^* = Z_p^* * (1 + p^n O_0), so units u and v share a coset exactly
+    when u = lambda*v mod p^n for some lambda in Z_p^*.  The key is u mod
+    p^n divided by a unit coordinate: x when x is a unit, otherwise y.
+    """
+    pn = inst.p**n
+    s = pow(u.x if u.x % inst.p else u.y, -1, pn)
+    return (u.x * s % pn, u.y * s % pn)
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
     """Coset representatives of O_0^*/O_1^*.
 
     1 + p*O_0 lies in O_1^*, so every coset meets the units x + y*Delta with
-    0 <= x, y < p.  The search scans all of them and keeps a unit when its
-    quotient against every kept one fails to land in O_1^*, with no target
-    count: the number kept is the index [O_0^* : O_1^*].  The quotient u/v
-    is tested as u*conj(v) = (u/v)*N(v): N(v) is a p-adic unit, so scaling
-    by it changes neither membership in O_1 nor being a unit.
+    0 <= x, y < p.  The search scans all of them and keeps the first unit of
+    each coset, with no target count: the number kept is the index
+    [O_0^* : O_1^*].
     """
     p = inst.p
-    reps: list[QuadElem] = []
+    reps: dict[tuple[int, int], QuadElem] = {}
     for x in range(p):
         for y in range(p):
             cand = QuadElem(inst, x, y)
-            if not cand.is_unit():
-                continue
-            if any(in_order_unit(inst, 1, cand * r.conj()) for r in reps):
-                continue
-            reps.append(cand)
-    return tuple(reps)
+            if cand.is_unit():
+                reps.setdefault(_unit_class(inst, 1, cand), cand)
+    return tuple(reps.values())
 
 
 def unit_rep(inst: CaseInstance, level: int, t: int) -> QuadElem:
@@ -208,34 +208,29 @@ def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
     """Representatives of O_{n-d}^*/O_n^*: products over index tuples.
 
     The factors run over levels n-d .. n-1 (level-0 factors from the
-    enumerated base set).  Pairwise inequivalence is verified by division:
-    u * v^{-1}, tested as u * conj(v) (see level0_reps), must not be a unit
-    of O_n.
+    enumerated base set).  Inequivalence is verified by the coset keys: no
+    two representatives share one.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
-    ranges = []
-    for level in range(n - d, n):
-        size = len(level0_reps(inst)) if level == 0 else inst.p
-        ranges.append([(level, t) for t in range(size)])
-    count = 1
-    for r in ranges:
-        count *= len(r)
+    factors = [
+        level0_reps(inst) if level == 0 else [unit_rep(inst, level, t) for t in range(inst.p)]
+        for level in range(n - d, n)
+    ]
+    count = math.prod(map(len, factors))
     if count > MAX_COSET_REPS:
         raise EnumerationOverflow(
             f"coset representatives {inst.tag.value} p={inst.p} n={n} d={d}: "
             f"{count} requested, above MAX_COSET_REPS = {MAX_COSET_REPS}"
         )
     reps = []
-    for combo in itertools.product(*ranges):
+    for combo in itertools.product(*factors):
         u = QuadElem(inst, 1, 0)
-        for level, t in combo:
-            u = u * unit_rep(inst, level, t)
+        for factor in combo:
+            u = u * factor
         reps.append(u)
-    for i, u in enumerate(reps):
-        for v in reps[:i]:
-            if in_order_unit(inst, n, u * v.conj()):
-                raise AssertionError("coset representatives are not inequivalent")
+    if len({_unit_class(inst, n, u) for u in reps}) < len(reps):
+        raise AssertionError("coset representatives are not inequivalent")
     return reps
 
 
@@ -397,15 +392,11 @@ class ClassAtlas:
             o0 = standard_lattice(p)
             pi = second_anchor_lattice(p)
             return [(0, o0, [pi]), (1, pi, [o0])]
-        items = []
         hw = self.tree.halfwidth
-        for j in range(-hw, hw + 1):
-            basin_nbrs = [
-                apartment_lattice(inst, j - 1),
-                apartment_lattice(inst, j + 1),
-            ]
-            items.append((j, apartment_lattice(inst, j), basin_nbrs))
-        return items
+        return [
+            (j, apartment_lattice(inst, j), [apartment_lattice(inst, j + s) for s in (-1, 1)])
+            for j in range(-hw, hw + 1)
+        ]
 
     def _build(self):
         anchors: list[tuple[VertexAddr, LatticeHNF, list[LatticeHNF]]] = []
@@ -561,9 +552,7 @@ def _enumerate_core(
     inst: CaseInstance, n: int, max_contribution: int
 ) -> tuple[IdealRecord, ...]:
     p = inst.p
-    total = sum(
-        p**a for k in range(max_contribution + 1) for a in range(k + 1)
-    )
+    total = sum(p**a for k in range(max_contribution + 1) for a in range(k + 1))
     if total > MAX_ENUMERATED_LATTICES:
         raise EnumerationOverflow(
             f"ideal enumeration {inst.tag.value} p={p} n={n} "
@@ -583,9 +572,7 @@ def _enumerate_core(
                 coords = _find_generator(inst, n, L)
                 if coords is None:
                     # Distance still makes sense for the class of the lattice.
-                    records.append(
-                        IdealRecord(L, n, k, principal=False)
-                    )
+                    records.append(IdealRecord(L, n, k, principal=False))
                     continue
                 u, v = coords
                 gen = QuadElem(inst, u, p**n * v)
@@ -596,9 +583,7 @@ def _enumerate_core(
                     raise AssertionError(
                         f"index exponent {k} disagrees with contribution {contrib}"
                     )
-                dist = lattice_distance(
-                    inst, _ideal_class(inst, n, L), on_class
-                )
+                dist = lattice_distance(inst, _ideal_class(inst, n, L), on_class)
                 records.append(
                     IdealRecord(
                         L,

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from impactzeta import building
 from impactzeta.building import (
     BasinKind,
     BuildingSpec,
@@ -62,11 +63,28 @@ def test_vertex_cap(monkeypatch, kind, m, radius):
     # The cap is checked against the predicted count before any vertex is
     # built; at the exact count the build succeeds, one below it fails.
     size = len(_build(kind, m, radius))
-    monkeypatch.setenv("IMPACTZETA_MAX_VERTICES", str(size))
+    monkeypatch.setattr(building, "MAX_VERTICES", size)
     assert len(_build(kind, m, radius)) == size
-    monkeypatch.setenv("IMPACTZETA_MAX_VERTICES", str(size - 1))
+    monkeypatch.setattr(building, "MAX_VERTICES", size - 1)
     with pytest.raises(LimitExceeded):
         _build(kind, m, radius)
+
+
+def test_cap_errors_name_what_overflowed(monkeypatch):
+    monkeypatch.setattr(building, "MAX_VERTICES", 20)
+    with pytest.raises(
+        LimitExceeded,
+        match=r"^truncated tree ramified m=3 radius=2 halfwidth=0: "
+        r"26 vertices, above MAX_VERTICES = 20$",
+    ):
+        build_truncated(BuildingSpec(BasinKind.RAMIFIED, 3), 2)
+    spec = BuildingSpec(BasinKind.SPLIT, 3)
+    with pytest.raises(
+        LimitExceeded,
+        match=r"^distance profile split m=3 source=0:0\.0 radius=40: "
+        r"\d+ states, above MAX_VERTICES = 20$",
+    ):
+        distance_profile(spec, way_out_vertex(spec, 2), 40)
 
 
 def test_heights():

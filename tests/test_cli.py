@@ -1,7 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from impactzeta import building
 from impactzeta.cli import main, poly_from_json, poly_to_json
 from impactzeta.orders import full_zeta, all_cases
 from impactzeta.poly import ONE, Q, q_pow, x_pow
@@ -306,14 +309,27 @@ def test_verify_oracle_reach_beyond_the_old_truncation(capsys):
     assert json.loads(out)["results"] == {"checks": 1026, "passed": 1026, "failed": 0}
 
 
-def test_vertex_cap_bounds_the_ball(capsys, monkeypatch):
-    monkeypatch.setenv("IMPACTZETA_MAX_VERTICES", "100")
+def test_verify_oracle_stretch(capsys):
+    # Its largest ball (split, m = 3, n = 10) has 590,489 vertices.
     code, out, err = run(
-        capsys, "counts", "--basin", "split", "--m", "3", "-n", "3", "--max-d", "12"
+        capsys, "verify", "--suite", "oracle", "--max-n", "10", "--max-d", "24",
+        "--format", "json",
+    )
+    assert code == 0, err
+    assert json.loads(out)["results"] == {"checks": 1650, "passed": 1650, "failed": 0}
+
+
+def test_vertex_cap_bounds_the_ball(capsys, monkeypatch):
+    monkeypatch.setattr(building, "MAX_VERTICES", 100)
+    code, out, err = run(
+        capsys, "tree", "--basin", "split", "--m", "3", "--radius", "3"
     )
     assert code == 1
     assert out == ""
-    assert "vertex cap 100 exceeded" in err
+    assert err == (
+        "error: truncated tree split m=3 radius=3 halfwidth=3: "
+        "189 vertices, above MAX_VERTICES = 100\n"
+    )
 
 
 def test_verify_all_quick(capsys):
@@ -607,3 +623,17 @@ def test_request_echoes_every_option_in_parser_order(capsys, argv, request_block
     request = json.loads(out)["request"]
     assert list(request) == list(request_block)
     assert request == request_block
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("impactzeta ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) == 10
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

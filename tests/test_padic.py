@@ -17,6 +17,7 @@ from impactzeta.padic import (
     _enumerate_core,
     _exact_type,
     _find_generator,
+    _unit_class,
     ClassAtlas,
     LatticeHNF,
     QuadElem,
@@ -178,6 +179,59 @@ def test_coset_counts_match_unit_index_formula():
         for n in range(5 if p <= 3 else 3):
             formula = unit_index(case, n).subs_q(p).as_int()
             assert len(coset_reps(inst, n, n)) == formula
+
+
+CASES = [(RAM, 2), (RAM, 3), (UNRAM, 3), (UNRAM, 5), (SPLIT, 2), (SPLIT, 3)]
+
+
+def _same_coset(inst, n, u, v):
+    """The referee: u / v, tested as u * conj(v), is a unit of O_n.
+
+    conj(v) = x + y*(tau - Delta) is v^{-1} * N(v), and N(v) is a p-adic unit.
+    """
+    conj = QuadElem(inst, v.x + inst.tau * v.y, -v.y)
+    return in_order_unit(inst, n, u * conj)
+
+
+@pytest.mark.parametrize("tag,p", CASES, ids=[f"{t.value}-{p}" for t, p in CASES])
+def test_unit_class_key_matches_pairwise_quotient_test(tag, p):
+    inst = make_case(tag, p)
+    for n in (1, 2) if p <= 3 else (1,):
+        pn = p**n
+        units = [
+            QuadElem(inst, x, y)
+            for x in range(pn)
+            for y in range(pn)
+            if QuadElem(inst, x, y).is_unit()
+        ]
+        for u in units:
+            for v in units:
+                same = _unit_class(inst, n, u) == _unit_class(inst, n, v)
+                assert same == _same_coset(inst, n, u, v), (n, u, v)
+    # Pairs built equivalent, u * lambda * (1 + p^n w), with large coordinates.
+    for n in (1, 3):
+        for u in coset_reps(inst, n, n)[:20]:
+            for lam, w in [(1, QuadElem(inst, 5, 7)), (p * p - 1, QuadElem(inst, -3, 11))]:
+                v = u * QuadElem(inst, lam, 0) * QuadElem(inst, 1 + p**n * w.x, p**n * w.y)
+                assert _same_coset(inst, n, u, v)
+                assert _unit_class(inst, n, u) == _unit_class(inst, n, v)
+
+
+@pytest.mark.parametrize("tag,p", CASES, ids=[f"{t.value}-{p}" for t, p in CASES])
+def test_coset_reps_match_the_pairwise_scan(tag, p):
+    inst = make_case(tag, p)
+    # Level 0 keeps, in scan order, each unit inequivalent to every kept one.
+    scan = []
+    for x in range(p):
+        for y in range(p):
+            u = QuadElem(inst, x, y)
+            if u.is_unit() and not any(_same_coset(inst, 1, u, r) for r in scan):
+                scan.append(u)
+    assert level0_reps(inst) == tuple(scan)
+    for n in range(4 if p <= 3 else 3):
+        reps = coset_reps(inst, n, n)
+        for i, u in enumerate(reps):
+            assert not any(_same_coset(inst, n, u, v) for v in reps[:i])
 
 
 # -- lattices -----------------------------------------------------------------

@@ -5,6 +5,8 @@ small for the size, a precision rule that misses a corner) shows up here as
 a failing size, not as a false counterexample to the mathematics.
 """
 
+import time
+
 import pytest
 
 from impactzeta.building import BasinKind
@@ -27,6 +29,16 @@ def test_oracle_suite_holds_for_every_small_size():
         for d in range(9):
             results = oracle_suite((2, 3), n, d)
             assert results and not _failures(results), (n, d, _failures(results))
+
+
+def test_oracle_suite_stretch_inside_the_30s_gate():
+    # The ball from O_20 on the apartment of m = 3 has about 7 * 10^9
+    # vertices; the state BFS visits at most 697 states per source.
+    start = time.time()
+    results = oracle_suite((2, 3), 20, 40)
+    elapsed = time.time() - start
+    assert len(results) == 3 * 2 * 21 * 41 and not _failures(results)
+    assert elapsed < 30.0
 
 
 @pytest.mark.parametrize(
