@@ -120,7 +120,11 @@ class TruncatedTree:
         self.radius = radius
         self.halfwidth = halfwidth
         m = spec.m
-        arity0 = first_arity(spec.kind, m)
+        # A basin vertex has degree m + 1, less its neighbours on the basin;
+        # this tree referees the oracle, so it does not read first_arity.
+        arity0 = m + 1 - {
+            BasinKind.UNRAMIFIED: 0, BasinKind.RAMIFIED: 1, BasinKind.SPLIT: 2
+        }[spec.kind]
         anchors = _anchor_range(spec, halfwidth)
         size = len(anchors) * (1 + arity0 * sum(m**h for h in range(radius)))
         if size > MAX_VERTICES:

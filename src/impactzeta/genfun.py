@@ -121,20 +121,34 @@ def reachable_count_closed(spec: BuildingSpec, n: int, d: int) -> int:
     return (ell + 1) * (m - 1) * m ** (n - 1)
 
 
+# The last profile read by reachable_count_oracle and its running parity
+# sums (layer, basin); one entry, held so that its identity stays unique.
+_running: list = [None, ()]
+
+
 def reachable_count_oracle(
     profile: tuple[tuple[int, ...], tuple[int, ...]], d: int, which: str = "layer"
 ) -> int:
     """BFS oracle for r(d, v) / p(d, v): distance <= d and matching parity.
 
-    Sums the ``distance_profile`` of v over distances d, d - 2, ..., d mod 2.
+    Reads the running parity sum r(d) = r(d - 2) + counts[d] of the
+    ``distance_profile`` of v.  The sums are built once per profile: a
+    caller reading d = 0, 1, ..., D from one profile pays O(D), not O(D^2).
     """
     if which not in ("layer", "basin"):
         raise ValueError(f"which must be 'layer' or 'basin', got {which!r}")
     layer, basin = profile
     if d >= len(layer):
         raise TruncationInsufficient(f"no BFS count at distance {d} > {len(layer) - 1}")
-    counts = layer if which == "layer" else basin
-    return sum(counts[d % 2 : d + 1 : 2]) if d >= 0 else 0
+    if d < 0:
+        return 0
+    if _running[0] is not profile:
+        sums = [list(layer), list(basin)]
+        for counts in sums:
+            for k in range(2, len(counts)):
+                counts[k] += counts[k - 2]
+        _running[:] = [profile, sums]
+    return _running[1][which == "basin"][d]
 
 
 def check_recurrence_q(kind: BasinKind, n_max: int) -> list[CheckResult]:

@@ -26,8 +26,11 @@ consults the type-counting formulas they are used to check.
 
 Cost: for the index bound B the scan visits sum_{k<=B} sum_{a<=k} p^a
 Hermite forms [[p^a, c], [0, p^(k-a)]] and runs one closure test on each.
-Its loop over 0 <= c < p^a is the reduction condition, so it builds each
-candidate reduced by construction, without the validating constructor.
+A candidate is a plain tuple (p, a, c, b); the closure test rejects a < b
+before it takes any power, and otherwise reduces to one root condition
+mod p^(a-b).  Only a candidate that passes becomes a LatticeHNF, built
+without the validating constructor, since the loop over 0 <= c < p^a is
+the reduction condition.
 """
 
 from __future__ import annotations
@@ -462,25 +465,31 @@ class IdealRecord:
     distance_to_main: Optional[int] = None
 
 
-def is_ideal(inst: CaseInstance, n: int, L: LatticeHNF) -> bool:
-    """Closure of the sublattice under multiplication by p^n*Delta.
+def is_ideal(inst: CaseInstance, n: int, L: tuple[int, int, int, int]) -> bool:
+    """Closure of the sublattice L = (p, a, c, b) under multiplication by p^n*Delta.
 
-    On the O_n basis {1, p^n*Delta}, p^n*Delta sends (x, y) to
+    L is any tuple (p, a, c, b) of Hermite data; a LatticeHNF is one.  On
+    the O_n basis {1, p^n*Delta}, p^n*Delta sends (x, y) to
     (-delta p^{2n} y, x + tau p^n y), and (w0, w1) lies in L iff p^b | w1
-    and p^a | w0 - c*w1/p^b.
+    and p^a | w0 - c*w1/p^b.  For the two columns of L this reads:
+
+    * (p^a, 0) maps to (0, p^a), which lies in L iff a >= b and
+      p^a | c*p^(a-b), that is, p^b | c;
+    * then, with c = p^b*r, (c, p^b) maps to (-delta p^{2n} p^b,
+      p^b (r + tau p^n)), which lies in L iff p^a divides
+      p^b (delta p^{2n} + r (r + tau p^n)), that is,
+      r^2 + tau p^n r + delta p^{2n} = 0 mod p^(a-b).
+
+    So a lattice with a < b is rejected before any power is taken.
     """
     p, a, c, b = L
-    pa = p**a
-    pb = p**b
-    # First column (p^a, 0) maps to (0, p^a).
-    if pa % pb or (c * (pa // pb)) % pa:
+    if a < b:
         return False
-    # Second column (c, p^b) maps to (-delta p^{2n} p^b, c + tau p^n p^b).
+    r, rem = divmod(c, p**b)
+    if rem:
+        return False
     pn = inst.p**n
-    w1 = c + inst.tau * pn * pb
-    if w1 % pb:
-        return False
-    return (-inst.delta * pn * pn * pb - c * (w1 // pb)) % pa == 0
+    return (r * (r + inst.tau * pn) + inst.delta * pn * pn) % p ** (a - b) == 0
 
 
 def _delta_maps_into(inst: CaseInstance, n: int, L: LatticeHNF, M: LatticeHNF) -> bool:
@@ -565,10 +574,10 @@ def _enumerate_core(
         for a in range(k + 1):
             b = k - a
             for c in range(p**a):
+                if not is_ideal(inst, n, (p, a, c, b)):
+                    continue
                 # range(p**a) is the reduction condition: no need to revalidate.
                 L = tuple.__new__(LatticeHNF, (p, a, c, b))
-                if not is_ideal(inst, n, L):
-                    continue
                 coords = _find_generator(inst, n, L)
                 if coords is None:
                     # Distance still makes sense for the class of the lattice.

@@ -276,12 +276,14 @@ def series_expand(f: RationalFn, degree: int) -> SeriesPrefix:
     if den_by_x.get(0, ZERO) != ONE:
         raise NonUnitDenominator(f"denominator constant term is not 1: {f.den}")
     num_by_x = f.num.x_coefficients()
+    # Only the nonzero X-degrees of the denominator contribute.
+    den_terms = sorted((j, dj) for j, dj in den_by_x.items() if j)
     coeffs: list[BiPoly] = []
     for k in range(degree + 1):
         s = num_by_x.get(k, ZERO)
-        for j in range(1, k + 1):
-            dj = den_by_x.get(j)
-            if dj is not None:
-                s = s - dj * coeffs[k - j]
+        for j, dj in den_terms:
+            if j > k:
+                break
+            s = s - dj * coeffs[k - j]
         coeffs.append(s)
     return SeriesPrefix(degree, tuple(coeffs))

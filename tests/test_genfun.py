@@ -89,6 +89,21 @@ def test_oracle_truncation_guard():
     assert reachable_count_oracle(profile, -1) == 0
 
 
+def test_oracle_running_sums_follow_the_profile_read():
+    # Two profiles read in turn: each read must use its own running sums,
+    # which equal the slice sums over d, d - 2, ..., d mod 2.
+    profiles = [
+        distance_profile(spec(kind, 2), way_out_vertex(spec(kind, 2), 2), 9)
+        for kind in (UNRAM, SPLIT)
+    ]
+    for d in range(10):
+        for profile in profiles + profiles[::-1]:
+            for which, counts in zip(("layer", "basin"), profile):
+                assert reachable_count_oracle(profile, d, which) == sum(
+                    counts[d % 2 : d + 1 : 2]
+                )
+
+
 def test_oracle_rejects_unknown_height_class():
     profile = distance_profile(spec(UNRAM, 2), way_out_vertex(spec(UNRAM, 2), 1), 2)
     with pytest.raises(ValueError):

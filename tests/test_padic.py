@@ -14,6 +14,7 @@ from impactzeta.errors import (
 from impactzeta.orders import extension_case, principal_count_series, unit_index
 from impactzeta.padic import (
     CACHE_SIZE,
+    _delta_maps_into,
     _enumerate_core,
     _exact_type,
     _find_generator,
@@ -364,8 +365,9 @@ def test_scan_visits_every_reduced_hermite_form_once(monkeypatch, tag):
 
     _enumerate_core.cache_clear()
     monkeypatch.setattr(padic, "is_ideal", recording)
-    enumerate_ideals(inst, 1, bound)
-    keys = [L.key() for L in seen]
+    records = enumerate_ideals(inst, 1, bound)
+    # The candidates are plain (p, a, c, b) tuples; only an ideal gets a record.
+    keys = [LatticeHNF(*L).key() for L in seen]
     expected = {
         (a, c, k - a)
         for k in range(bound + 1)
@@ -377,6 +379,27 @@ def test_scan_visits_every_reduced_hermite_form_once(monkeypatch, tag):
     # The scan builds its candidates without validation; the checked
     # constructor must accept every one of them.
     assert all(LatticeHNF(*L) == L for L in seen)
+    assert records and all(type(r.lattice) is LatticeHNF for r in records)
+
+
+@pytest.mark.parametrize(
+    "tag,p", [(RAM, 2), (RAM, 3), (SPLIT, 2), (SPLIT, 3), (UNRAM, 3), (UNRAM, 5)]
+)
+def test_closure_test_matches_the_column_referee(tag, p):
+    # The root condition of is_ideal against the direct test that p^n*Delta
+    # maps both Hermite columns into L, on every reduced Hermite form.
+    inst = make_case(tag, p)
+    forms = [
+        LatticeHNF(p, a, c, k - a)
+        for k in range(6)
+        for a in range(k + 1)
+        for c in range(p**a)
+    ]
+    for n in range(4):
+        for L in forms:
+            want = _delta_maps_into(inst, n, L, L)
+            assert is_ideal(inst, n, L) == want, (n, L)
+            assert is_ideal(inst, n, tuple(L)) == want, (n, L)
 
 
 def test_caches_are_bounded():

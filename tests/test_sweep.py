@@ -10,6 +10,7 @@ import time
 import pytest
 
 from impactzeta.building import BasinKind
+from impactzeta.cli import main
 from impactzeta.suites import arithmetic_suite, oracle_suite
 
 ARITHMETIC_PRIMES = [
@@ -38,6 +39,23 @@ def test_oracle_suite_stretch_inside_the_30s_gate():
     results = oracle_suite((2, 3), 20, 40)
     elapsed = time.time() - start
     assert len(results) == 3 * 2 * 21 * 41 and not _failures(results)
+    assert elapsed < 30.0
+
+
+def test_counts_on_a_finite_basin_inside_the_30s_gate(capsys):
+    # The ball is finite, so the cap never stops an absurd --max-d: the
+    # series and the running parity sums must be linear in it.
+    start = time.time()
+    code = main(
+        ["counts", "--basin", "unramified", "--m", "2", "-n", "3",
+         "--max-d", "100000", "--format", "csv"]
+    )
+    elapsed = time.time() - start
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 1 + 100_001
+    # From O_3 at m = 2: 12 vertices of height 3, and 3 + 12 of height
+    # 1 or 3, are at even distance.
+    assert lines[-2:] == ["99999,0,0,7", "100000,12,12,15"]
     assert elapsed < 30.0
 
 
