@@ -33,6 +33,7 @@ from .building import (
     TruncatedTree,
     build_truncated,
     distance_profile,
+    way_out_vertex,
 )
 from .errors import ClosedFormMismatch, ImpactZetaError
 from .genfun import (
@@ -41,7 +42,6 @@ from .genfun import (
     layer_genfun,
     reachable_count_closed,
     reachable_count_oracle,
-    way_out_vertex,
 )
 from .orders import extension_case, full_zeta
 from .padic import enumerate_ideals, is_prime, make_case
@@ -215,7 +215,7 @@ def cmd_enumerate(args) -> int:
             "p": args.p,
             "n": n,
             "type": type_str(r.type_eps),
-            "contribution": "" if r.contribution is None else r.contribution,
+            "contribution": r.index_exponent if r.principal else "",
             "vertex": "" if r.vertex is None else str(r.vertex),
             "distance": "" if r.distance_to_main is None else r.distance_to_main,
             "principal": r.principal,

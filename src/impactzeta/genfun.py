@@ -31,7 +31,7 @@ apartment case, the BFS oracle is the arbiter of the exact coefficients
 
 from __future__ import annotations
 
-from .building import BasinKind, BuildingSpec, distance_profile, way_out_vertex
+from .building import BasinKind, BuildingSpec
 from .errors import TruncationInsufficient, UnsupportedHeight
 from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
 from .report import CheckResult
@@ -178,15 +178,16 @@ def check_geodesic_q(kind: BasinKind, n_max: int) -> list[CheckResult]:
 
 
 def oracle_series_check(
-    spec: BuildingSpec, n: int, max_d: int
+    spec: BuildingSpec, n: int, profile: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> list[CheckResult]:
     """Compare closed-form series coefficients with the BFS oracle at O_n.
 
+    ``profile`` is the ``distance_profile`` of O_n, up to the longest walk.
     Covers the layer counts (closed formula for n >= 1, series coefficients
     of the layer generating function for every n) and the basin counts
     (series coefficients of the basin generating function).
     """
-    profile = distance_profile(spec, way_out_vertex(spec, n), max_d)
+    max_d = len(profile[0]) - 1
     layer_series = series_expand(layer_genfun(spec, n), max_d).at_q(0)
     basin_series = series_expand(basin_genfun(spec, n), max_d).at_q(0)
     results = []

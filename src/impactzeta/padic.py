@@ -20,9 +20,11 @@ closed under multiplication by p^n*Delta, and tests principality by a
 generator search over the p^2 classes of I/pI (whether an element generates
 depends only on its class mod pI), confirming a found generator alpha by
 comparing the Hermite form of alpha*O_n with the ideal.  A second decider,
-the multiplier-ring criterion (I is principal iff p^n*Delta*I is not inside
-p*I), shares nothing with the search and serves as a cross-check.  Neither
-consults the type-counting formulas they are used to check.
+the multiplier level (the least h with p^h*Delta*I inside I; I is principal
+iff it is n), shares nothing with the search.  Given a truncated tree,
+every ideal is placed at the vertex of its class, whose height must be its
+multiplier level.  Nothing here reads the formulas (``orders``,
+``genfun``) that these results check.
 
 Cost: for the index bound B the scan visits sum_{k<=B} sum_{a<=k} p^a
 Hermite forms [[p^a, c], [0, p^(k-a)]] and runs one closure test on each.
@@ -55,7 +57,6 @@ from .errors import (
     OutsideTruncation,
     UnsupportedPrime,
 )
-from .orders import ExtensionCase, TypeVector, contribution, extension_case
 from .report import CheckResult
 
 MAX_ENUMERATED_LATTICES = 2_000_000
@@ -88,29 +89,24 @@ def _smallest_nonresidue(p: int) -> int:
 class CaseInstance:
     """A concrete (case, p) quadratic algebra with fixed Delta."""
 
-    case: ExtensionCase
+    tag: BasinKind
     p: int
     tau: int
     delta: int
     epsilon: Optional[int] = None
 
-    @property
-    def tag(self) -> BasinKind:
-        return self.case.tag
-
 
 def make_case(tag: BasinKind, p: int) -> CaseInstance:
     if not is_prime(p):
         raise UnsupportedPrime(f"{p} is not prime")
-    case = extension_case(tag)
     if tag is BasinKind.RAMIFIED:
-        return CaseInstance(case, p, tau=0, delta=p)
+        return CaseInstance(tag, p, tau=0, delta=p)
     if tag is BasinKind.UNRAMIFIED:
         if p == 2:
             raise UnsupportedPrime("p = 2 unramified is not supported")
         eps = _smallest_nonresidue(p)
-        return CaseInstance(case, p, tau=0, delta=-eps, epsilon=eps)
-    return CaseInstance(case, p, tau=p + 1, delta=p)
+        return CaseInstance(tag, p, tau=0, delta=-eps, epsilon=eps)
+    return CaseInstance(tag, p, tau=p + 1, delta=p)
 
 
 @dataclass(frozen=True)
@@ -436,9 +432,13 @@ class ClassAtlas:
             self._descend(child_addr, child, [lat])
 
     def locate(self, lat: LatticeHNF) -> VertexAddr:
-        addr = self._by_key.get(class_rep(lat).key())
+        cls = class_rep(lat)
+        addr = self._by_key.get(cls.key())
         if addr is None:
-            raise OutsideTruncation(f"class {lat} not in the atlas")
+            raise OutsideTruncation(
+                f"class {cls} of {self.inst.tag.value} p={self.inst.p} is outside the "
+                f"atlas of radius {self.tree.radius} halfwidth {self.tree.halfwidth}"
+            )
         return addr
 
     def lattice_at(self, addr: VertexAddr) -> LatticeHNF:
@@ -459,8 +459,7 @@ class IdealRecord:
     index_exponent: int
     principal: bool
     generator: Optional[QuadElem] = None
-    type_eps: Optional[TypeVector] = None
-    contribution: Optional[int] = None
+    type_eps: Optional[int | tuple[int, int]] = None
     vertex: Optional[VertexAddr] = None
     distance_to_main: Optional[int] = None
 
@@ -504,19 +503,21 @@ def _delta_maps_into(inst: CaseInstance, n: int, L: LatticeHNF, M: LatticeHNF) -
     return True
 
 
-def multiplier_principal(inst: CaseInstance, n: int, L: LatticeHNF) -> bool:
-    """Principality of the O_n-ideal L, decided by its multiplier ring.
+def multiplier_level(inst: CaseInstance, n: int, L: LatticeHNF) -> int:
+    """The least h with p^h*Delta*L inside L: the multiplier ring is O_h.
 
-    Quadratic orders are Gorenstein, so L is principal exactly when its
-    multiplier ring is O_n itself.  For n >= 1 the next larger order is
-    O_{n-1}, so this says p^{n-1}*Delta*L is not inside L, that is,
-    p^n*Delta*L is not inside p*L.  For n = 0 the same test always finds
-    Delta*L outside p*L (Delta/p is not integral), matching the fact that
-    every ideal of O_0 is principal.  Unlike the generator search, this
-    decider never looks at norms.
+    Quadratic orders are Gorenstein, so the O_n-ideal L is principal exactly
+    when its level is n (always, for n = 0); unlike the generator search,
+    this decider never looks at norms.  p^(n-k)*Delta*L lies in L iff
+    p^n*Delta*L lies in p^k*L.  This holds for every n - k at or above the
+    level, so the scan tries k = 1, 2, ... and stops at the first failure:
+    a principal ideal costs one test.
     """
-    pL = LatticeHNF(L.p, L.a_exp + 1, L.p * L.c, L.b_exp + 1)
-    return not _delta_maps_into(inst, n, L, pL)
+    for k in range(1, n + 1):
+        pkL = LatticeHNF(L.p, L.a_exp + k, L.p**k * L.c, L.b_exp + k)
+        if not _delta_maps_into(inst, n, L, pkL):
+            return n - k + 1
+    return 0
 
 
 def _find_generator(
@@ -580,29 +581,16 @@ def _enumerate_core(
                 L = tuple.__new__(LatticeHNF, (p, a, c, b))
                 coords = _find_generator(inst, n, L)
                 if coords is None:
-                    # Distance still makes sense for the class of the lattice.
                     records.append(IdealRecord(L, n, k, principal=False))
                     continue
                 u, v = coords
                 gen = QuadElem(inst, u, p**n * v)
                 _confirm_generator(inst, n, L, u, v)
                 eps = _exact_type(inst, u, p**n * v)
-                contrib = contribution(inst.case, eps)
-                if contrib != k:
-                    raise AssertionError(
-                        f"index exponent {k} disagrees with contribution {contrib}"
-                    )
                 dist = lattice_distance(inst, _ideal_class(inst, n, L), on_class)
                 records.append(
                     IdealRecord(
-                        L,
-                        n,
-                        k,
-                        principal=True,
-                        generator=gen,
-                        type_eps=eps,
-                        contribution=contrib,
-                        distance_to_main=dist,
+                        L, n, k, principal=True, generator=gen, type_eps=eps, distance_to_main=dist
                     )
                 )
     return tuple(records)
@@ -620,7 +608,7 @@ def _confirm_generator(inst: CaseInstance, n: int, L: LatticeHNF, u: int, v: int
         raise AssertionError(f"claimed generator spans {H}, not {L}")
 
 
-def _exact_type(inst: CaseInstance, x: int, y: int) -> TypeVector:
+def _exact_type(inst: CaseInstance, x: int, y: int) -> int | tuple[int, int]:
     """Type of a nonzero x + y*Delta from exact integer coordinates.
 
     Ramified: val_pi = min(2 val(x), 2 val(y) + 1).  Unramified:
@@ -653,8 +641,8 @@ def enumerate_ideals(
     """All ideals of O_n with index exponent <= max_contribution.
 
     Records are ordered by Hermite key.  When a matching truncated tree is
-    supplied, principal records additionally carry the tree address of
-    their lattice class.
+    supplied, every record, principal or not, additionally carries the tree
+    address of its lattice class.
     """
     core = _enumerate_core(inst, n, max_contribution)
     if tree is None:
@@ -662,8 +650,6 @@ def enumerate_ideals(
     atlas = ClassAtlas(inst, tree)
     return [
         replace(rec, vertex=atlas.locate(_ideal_class(inst, n, rec.lattice)))
-        if rec.principal
-        else rec
         for rec in core
     ]
 
@@ -689,43 +675,37 @@ def source_and_distance_check(
     max_contribution: int,
     tree: TruncatedTree,
 ) -> list[CheckResult]:
-    """Per-vertex structure of the enumerated principal ideals.
+    """Placement of every ideal of O_n: one result per vertex v of the ball.
 
-    Groups records by vertex and verifies: the types at a vertex are an
-    arithmetic progression with step e_vec truncated by the contribution
-    bound; the smallest contribution equals the lattice distance to O_n and
-    the tree distance of the address to the way-out vertex.
+    The ball is every truncation vertex within distance max_contribution of
+    the way-out vertex O_n, and any vertex holding an ideal.  v passes when
+    (i) each ideal there has multiplier level h(v), (ii) each principal one
+    has lattice distance dist(v, O_n) to O_n, and (iii) the index exponents
+    there are exactly dist, dist + 2, ... up to the bound.  So the pairs
+    (vertex, index exponent) are distinct and fill the ball.
     """
     records = enumerate_ideals(inst, n, max_contribution, tree)
-    e_vec = inst.case.e_vec
     by_vertex: dict[VertexAddr, list[IdealRecord]] = {}
     for rec in records:
-        if rec.principal:
-            by_vertex.setdefault(rec.vertex, []).append(rec)
-    results = []
+        by_vertex.setdefault(rec.vertex, []).append(rec)
     target = way_out_vertex(tree.spec, n)
-    for addr in sorted(by_vertex, key=lambda v: (v.anchor, v.word)):
-        group = by_vertex[addr]
-        types = sorted(
-            (t if isinstance(t, tuple) else (t,))
-            for t in (r.type_eps for r in group)
-        )
-        base = types[0]
-        min_contrib = min(r.contribution for r in group)
-        expected_count = (max_contribution - min_contrib) // 2 + 1
-        want = sorted(
-            tuple(b + k * e for b, e in zip(base, e_vec))
-            for k in range(expected_count)
-        )
-        progression_ok = types == want
-        metric_ok = min_contrib == group[0].distance_to_main == tree_distance(
-            tree, addr, target
+    results = []
+    for v in tree.vertices:
+        dist = tree_distance(tree, v, target)
+        group = by_vertex.get(v, [])
+        if dist > max_contribution and not group:
+            continue
+        exponents = sorted(r.index_exponent for r in group)
+        ok = (
+            exponents == list(range(dist, max_contribution + 1, 2))
+            and all(multiplier_level(inst, n, r.lattice) == v.height for r in group)
+            and all(r.distance_to_main == dist for r in group if r.principal)
         )
         results.append(
             CheckResult(
-                f"source {inst.tag.value} p={inst.p} n={n} vertex={addr}",
-                progression_ok and metric_ok,
-                f"types={types} min_c={min_contrib}",
+                f"source {inst.tag.value} p={inst.p} n={n} vertex={v}",
+                ok,
+                f"distance {dist}, index exponents {exponents}",
             )
         )
     return results

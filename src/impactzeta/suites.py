@@ -7,9 +7,11 @@ Three suites:
   the geodesic relation).
 * oracle: height-pruned BFS counts against the closed forms.
 * arithmetic: the p-adic enumeration oracle against the type-counting
-  results (unit indices, type histograms, principal and full series
-  prefixes, vertex locations and distances, the traveling map), and its
-  generator search against the multiplier-ring criterion for principality.
+  results (unit indices, type histograms and contributions, principal and
+  full series prefixes, the traveling map), its generator search against
+  the multiplier-ring criterion, and, with no formula, the placement of
+  every ideal at a vertex of its multiplier level, filling the ball around
+  O_n.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .building import (
     BuildingSpec,
     build_truncated,
     distance,
+    distance_profile,
     layer_members,
     line_spec,
+    way_out_vertex,
 )
 from .genfun import (
     basin_genfun_q,
@@ -32,13 +36,13 @@ from .genfun import (
     check_recurrence_q,
     layer_genfun_q,
     oracle_series_check,
-    way_out_vertex,
 )
 from .orders import (
     all_cases,
     check_main_theorem,
     check_zeta_recurrence,
     classify_type,
+    contribution,
     extension_case,
     ideal_count_series,
     principal_count_series,
@@ -48,7 +52,7 @@ from .padic import (
     coset_reps,
     enumerate_ideals,
     make_case,
-    multiplier_principal,
+    multiplier_level,
     source_and_distance_check,
     traveling,
 )
@@ -78,11 +82,13 @@ def identity_suite(n_max: int = 8) -> list[CheckResult]:
 def oracle_suite(
     ms: Iterable[int] = (2, 3), n_max: int = 5, d_max: int = 12
 ) -> list[CheckResult]:
+    sources = [(BuildingSpec(k, m), n) for k, m, n in product(ALL_KINDS, ms, range(n_max + 1))]
+    # Every BFS runs before any closed form is expanded, so a size whose
+    # profile meets the state cap fails before the long series expansions.
+    profiles = [distance_profile(spec, way_out_vertex(spec, n), d_max) for spec, n in sources]
     results: list[CheckResult] = []
-    for kind, m in product(ALL_KINDS, ms):
-        spec = BuildingSpec(kind, m)
-        for n in range(n_max + 1):
-            results.extend(oracle_series_check(spec, n, d_max))
+    for (spec, n), profile in zip(sources, profiles):
+        results.extend(oracle_series_check(spec, n, profile))
     return results
 
 
@@ -116,7 +122,8 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
     for kind in (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED):
         spec = line_spec(kind)
         for n in range(n_max + 1):
-            ok = all_passed(oracle_series_check(spec, n, d_max))
+            profile = distance_profile(spec, way_out_vertex(spec, n), d_max)
+            ok = all_passed(oracle_series_check(spec, n, profile))
             results.append(CheckResult(f"line oracle {kind.value} n={n}", ok))
     return results
 
@@ -134,11 +141,13 @@ def _possible_types(case, bound: int):
 
 
 def arithmetic_tree(inst, n: int, d_bound: int):
-    """The truncation that places the ideals of O_n up to the bound."""
-    if inst.tag is BasinKind.SPLIT:
-        halfwidth = max(d_bound - 2 * n, n)
-        return build_truncated(BuildingSpec(inst.tag, inst.p), n, halfwidth)
-    return build_truncated(BuildingSpec(inst.tag, inst.p), n)
+    """The truncation that places the ideals of O_n up to the bound.
+
+    A split class at height h <= n and anchor j lies at distance
+    n + |j| + h from O_n, so the anchors run out to |j| = bound - n.  The
+    other basins ignore the halfwidth.
+    """
+    return build_truncated(BuildingSpec(inst.tag, inst.p), n, max(d_bound - n, n))
 
 
 def arithmetic_suite(
@@ -167,9 +176,13 @@ def arithmetic_suite(
                 tree = arithmetic_tree(inst, n, d_bound)
                 records = enumerate_ideals(inst, n, d_bound, tree)
                 principal = [r for r in records if r.principal]
-                # (b) type histogram against the counting rules.
+                # (b) type histogram against the counting rules, and the
+                # contribution of each type against the index exponent.
                 histogram = Counter(r.type_eps for r in principal)
-                hist_ok = True
+                hist_ok = all(
+                    contribution(case, r.type_eps) == r.index_exponent
+                    for r in principal
+                )
                 possible = _possible_types(case, d_bound)
                 for omega in possible:
                     desc = classify_type(case, n, omega)
@@ -184,16 +197,16 @@ def arithmetic_suite(
                     )
                 )
                 # (c) principal series prefix.
-                by_contribution = Counter(r.contribution for r in principal)
+                principal_by_index = Counter(r.index_exponent for r in principal)
                 series = principal_count_series(case, n, d_bound, p)
                 results.append(
                     CheckResult(
                         f"principal-series {label} n={n}",
                         all(
-                            by_contribution.get(d, 0) == series[d]
+                            principal_by_index.get(d, 0) == series[d]
                             for d in range(d_bound + 1)
                         ),
-                        f"observed {sorted(by_contribution.items())}",
+                        f"observed {sorted(principal_by_index.items())}",
                     )
                 )
                 # (c') full series prefix: every enumerated ideal, by index.
@@ -231,7 +244,7 @@ def arithmetic_suite(
                 disagree = [
                     r
                     for r in records
-                    if multiplier_principal(inst, n, r.lattice) != r.principal
+                    if (multiplier_level(inst, n, r.lattice) == n) != r.principal
                 ]
                 results.append(
                     CheckResult(
@@ -240,6 +253,7 @@ def arithmetic_suite(
                         f"{len(records)} ideals, {len(disagree)} disagree",
                     )
                 )
+                # (d') every ideal at a vertex of its multiplier level.
                 source_checks = source_and_distance_check(inst, n, d_bound, tree)
                 results.append(
                     CheckResult(

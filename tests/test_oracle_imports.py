@@ -1,0 +1,44 @@
+"""The two brute-force oracles never read the formulas they check.
+
+``padic`` (ideal enumeration and placement) and ``building`` (trees and the
+walk-count BFS) must import nothing from ``orders`` (the type counts and
+zeta functions) or ``genfun`` (the closed-form generating functions), in
+any import form, anywhere in the module.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "impactzeta"
+ORACLES = ("padic", "building")
+FORMULAS = {"orders", "genfun"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Last dotted component of every module named by an import statement."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.rpartition(".")[2])
+            # ``from . import orders`` names the module as an alias.
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_import_scan_sees_every_form():
+    source = (
+        "from .orders import contribution\n"
+        "import impactzeta.genfun\n"
+        "def f():\n"
+        "    from . import orders\n"
+    )
+    assert FORMULAS <= imported_modules(ast.parse(source))
+
+
+def test_oracles_import_no_formula_module():
+    for name in ORACLES:
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        assert not imported_modules(tree) & FORMULAS, name

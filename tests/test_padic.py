@@ -3,7 +3,15 @@ from collections import Counter
 
 import pytest
 
-from impactzeta.building import BasinKind, BuildingSpec, build_truncated, layer_members, way_out_vertex
+from impactzeta.building import (
+    BasinKind,
+    BuildingSpec,
+    VertexAddr,
+    build_truncated,
+    distance,
+    layer_members,
+    way_out_vertex,
+)
 from impactzeta.errors import (
     EnumerationOverflow,
     NotAnIdeal,
@@ -18,6 +26,7 @@ from impactzeta.padic import (
     _enumerate_core,
     _exact_type,
     _find_generator,
+    _ideal_class,
     _unit_class,
     ClassAtlas,
     LatticeHNF,
@@ -32,7 +41,7 @@ from impactzeta.padic import (
     lattice_distance,
     level0_reps,
     make_case,
-    multiplier_principal,
+    multiplier_level,
     order_lattice,
     second_anchor_lattice,
     slope_map,
@@ -349,7 +358,7 @@ def test_enumerate_histogram_split(split3):
 def test_enumerate_histogram_unramified():
     inst = make_case(UNRAM, 5)
     records = enumerate_ideals(inst, 1, 2)
-    by_c = Counter(r.contribution for r in records if r.principal)
+    by_c = Counter(r.index_exponent for r in records if r.principal)
     assert by_c == {0: 1, 2: 6}
 
 
@@ -410,10 +419,10 @@ def test_caches_are_bounded():
 
 def test_enumerate_series_match(ram3, unram3, split3):
     for inst in (ram3, unram3, split3):
-        case = inst.case
+        case = extension_case(inst.tag)
         for n in range(2):
             records = enumerate_ideals(inst, n, 5)
-            by_c = Counter(r.contribution for r in records if r.principal)
+            by_c = Counter(r.index_exponent for r in records if r.principal)
             series = principal_count_series(case, n, 5, inst.p)
             assert [by_c.get(d, 0) for d in range(6)] == series
 
@@ -467,7 +476,7 @@ def test_generator_search_matches_exhaustive_scan(tag, p, bound):
                 u, v = coords
                 assert rec.generator == QuadElem(inst, u, p**n * v)
             # The multiplier-ring criterion is a second, norm-free decider.
-            assert multiplier_principal(inst, n, rec.lattice) == rec.principal
+            assert (multiplier_level(inst, n, rec.lattice) == n) == rec.principal
 
 
 def test_generator_search_proves_non_principal(ram3):
@@ -477,11 +486,14 @@ def test_generator_search_proves_non_principal(ram3):
     assert is_ideal(ram3, 1, L)
     assert _find_generator(ram3, 1, L) is None
     assert _exhaustive_generator(ram3, 1, L) is None
-    assert not multiplier_principal(ram3, 1, L)
+    assert multiplier_level(ram3, 1, L) == 0
     # O_1 itself is principal for both deciders.
     O1 = LatticeHNF(3, 0, 0, 0)
     assert _find_generator(ram3, 1, O1) == (1, 0)
-    assert multiplier_principal(ram3, 1, O1)
+    assert multiplier_level(ram3, 1, O1) == 1
+    # As ideals of O_2, p^2*O_0 has level 0 and p*O_1 (traveled) level 1.
+    assert multiplier_level(ram3, 2, LatticeHNF(3, 2, 0, 0)) == 0
+    assert multiplier_level(ram3, 2, traveling(ram3, 1, O1)) == 1
 
 
 def test_vertex_layer_reach_at_n3():
@@ -537,7 +549,11 @@ def test_atlas_spine(ram3):
     for n in range(3):
         assert atlas.locate(order_lattice(3, n)) == way_out_vertex(tree.spec, n)
     assert atlas.locate(second_anchor_lattice(3)).anchor == 1
-    with pytest.raises(OutsideTruncation):
+    with pytest.raises(
+        OutsideTruncation,
+        match=r"class \[\[3\^0,0\],\[0,3\^5\]\] of ramified p=3 is outside "
+        r"the atlas of radius 2 halfwidth 0",
+    ):
         atlas.locate(order_lattice(3, 5))
 
 
@@ -553,6 +569,8 @@ def test_ideal_vertices_fill_layer(ram3):
     records = enumerate_ideals(ram3, 1, 3, tree)
     vertices = {r.vertex for r in records if r.principal}
     assert vertices == set(layer_members(tree, 1))
+    # The non-principal ideals p^k*O_0 and p^k*Delta*O_0 sit on the basin.
+    assert {r.vertex for r in records if not r.principal} == {VertexAddr(0), VertexAddr(1)}
     # Odd-type ideals live on the second anchor's side.
     for r in records:
         if r.principal and r.type_eps % 2 == 1:
@@ -572,7 +590,7 @@ def test_ideal_vertex_of_main_order(ram3):
 
 
 def test_split_high_type_vertex(split3):
-    tree = build_truncated(BuildingSpec(SPLIT, 3), 1, 4)
+    tree = suites.arithmetic_tree(split3, 1, 3)
     records = enumerate_ideals(split3, 1, 3, tree)
     offset = [r for r in records if r.principal and r.type_eps == (1, 2)]
     assert offset
@@ -582,15 +600,53 @@ def test_split_high_type_vertex(split3):
 
 
 def test_source_and_distance(ram3, unram3, split3):
-    for inst, hw in ((ram3, 0), (unram3, 0), (split3, 2)):
-        spec = BuildingSpec(inst.tag, inst.p)
-        tree = (
-            build_truncated(spec, 1, hw)
-            if inst.tag is SPLIT
-            else build_truncated(spec, 1)
-        )
+    for inst in (ram3, unram3, split3):
+        tree = suites.arithmetic_tree(inst, 1, 4)
         checks = source_and_distance_check(inst, 1, 4, tree)
         assert checks and all_passed(checks)
+        # One check per vertex within distance 4 of O_1 in the truncation.
+        target = way_out_vertex(tree.spec, 1)
+        ball = [v for v in tree.vertices if distance(tree, v, target) <= 4]
+        assert [c.name.rpartition("vertex=")[2] for c in checks] == list(map(str, ball))
+
+
+def _class_moved_by_delta(inst, n, L):
+    """_ideal_class with every non-principal class moved one Delta step."""
+    cls = _ideal_class(inst, n, L)
+    if multiplier_level(inst, n, L) == n:
+        return cls
+    m00, m01, _, m11 = cls.matrix()
+    # Delta*(x, y) = (-delta*y, x + tau*y) in the {1, Delta} coordinates.
+    return class_rep(hnf(inst.p, 0, -inst.delta * m11, m00, m01 + inst.tau * m11))
+
+
+@pytest.mark.parametrize(
+    "tag,p,n", [(RAM, 2, 1), (RAM, 3, 2), (UNRAM, 3, 2), (UNRAM, 5, 2)]
+)
+def test_source_check_sees_moved_non_principal_classes(monkeypatch, tag, p, n):
+    # Multiplication by Delta keeps heights and moves these classes to other
+    # vertices inside the atlas; no principal record changes.
+    inst = make_case(tag, p)
+    tree = suites.arithmetic_tree(inst, n, 6)
+    assert all_passed(source_and_distance_check(inst, n, 6, tree))
+    monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta)
+    assert not all_passed(source_and_distance_check(inst, n, 6, tree))
+
+
+@pytest.mark.parametrize("tag", [RAM, SPLIT])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_source_check_sees_a_multiplier_level_off_by_one(monkeypatch, tag, shift):
+    # The ideals of O_2 sit at heights 0, 1 and 2, so a shift clamped to
+    # 0..2 still moves some level off its vertex height.
+    inst = make_case(tag, 3)
+    real = padic.multiplier_level
+
+    def shifted(inst, n, L):
+        return min(max(real(inst, n, L) + shift, 0), n)
+
+    monkeypatch.setattr(padic, "multiplier_level", shifted)
+    checks = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
+    assert not all_passed(checks)
 
 
 def test_unramified_distance_two_sources(unram3):
@@ -601,7 +657,7 @@ def test_unramified_distance_two_sources(unram3):
         if r.principal and r.vertex != target:
             assert r.distance_to_main == 2
             assert min(
-                x.contribution
+                x.index_exponent
                 for x in records
                 if x.principal and x.vertex == r.vertex
             ) == 2

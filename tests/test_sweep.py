@@ -9,8 +9,10 @@ import time
 
 import pytest
 
+from impactzeta import genfun
 from impactzeta.building import BasinKind
 from impactzeta.cli import main
+from impactzeta.errors import LimitExceeded
 from impactzeta.suites import arithmetic_suite, oracle_suite
 
 ARITHMETIC_PRIMES = [
@@ -40,6 +42,18 @@ def test_oracle_suite_stretch_inside_the_30s_gate():
     elapsed = time.time() - start
     assert len(results) == 3 * 2 * 21 * 41 and not _failures(results)
     assert elapsed < 30.0
+
+
+def test_oracle_suite_meets_the_state_cap_before_any_series(monkeypatch):
+    # Only the split profiles meet the cap at this length; the finite basins
+    # come first in the check order, and their closed forms would take about
+    # half a minute to expand that far before the split BFS ran.
+    def expand(*args):
+        raise AssertionError("series_expand ran before the state cap was met")
+
+    monkeypatch.setattr(genfun, "series_expand", expand)
+    with pytest.raises(LimitExceeded, match="distance profile split m=2 source=0"):
+        oracle_suite((2, 3), 1, 100_000)
 
 
 def test_counts_on_a_finite_basin_inside_the_30s_gate(capsys):
