@@ -201,20 +201,12 @@ def cmd_enumerate(args) -> int:
     n, bound = args.n, args.max_contribution
     inst = make_case(kind, args.p)
     records = enumerate_ideals(inst, n, bound, arithmetic_tree(inst, n, bound))
-
-    def type_str(t) -> str:
-        if t is None:
-            return ""
-        if isinstance(t, tuple):
-            return "|".join(str(c) for c in t)
-        return str(t)
-
     rows = [
         {
             "case": args.case,
             "p": args.p,
             "n": n,
-            "type": type_str(r.type_eps),
+            "type": "|".join(map(str, r.type_eps or ())),
             "contribution": r.index_exponent if r.principal else "",
             "vertex": "" if r.vertex is None else str(r.vertex),
             "distance": "" if r.distance_to_main is None else r.distance_to_main,
@@ -263,18 +255,7 @@ def cmd_verify(args) -> int:
         ms = tuple(args.m) if args.m else (2, 3)
         checks.extend(oracle_suite(ms, 5 if args.max_n is None else args.max_n, args.max_d))
     if "arithmetic" in suites:
-        if args.p:
-            primes = {k: tuple(args.p) for k in BasinKind}
-            # p = 2 unramified is unsupported: drop it, and skip the case
-            # when no other prime was asked for.
-            primes[BasinKind.UNRAMIFIED] = tuple(p for p in args.p if p != 2)
-            if not primes[BasinKind.UNRAMIFIED]:
-                print(
-                    "note: unramified case skipped (p = 2 is not supported)",
-                    file=sys.stderr,
-                )
-        else:
-            primes = None
+        primes = {k: tuple(args.p) for k in BasinKind} if args.p else None
         n_max = 2 if args.max_n is None else args.max_n
         checks.extend(arithmetic_suite(primes, n_max, args.max_contribution))
     passed = sum(1 for c in checks if c.passed)
@@ -434,7 +415,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         # Flag combinations the parser cannot see (e.g. halfwidth < radius,
-        # or p = 2 with the unramified case).
+        # or a value given twice to verify --m or --p).
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ImpactZetaError as exc:

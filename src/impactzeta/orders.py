@@ -3,13 +3,13 @@
 For a quadratic algebra L/K (unramified or ramified field extension, or the
 split algebra K x K) with residue cardinality q, the orders O_n sit in a
 chain and their ideal zeta functions are rational in X = q^{-s}.  Principal
-ideals are grouped by type: the uniformizer valuation of a generator
-(valuation pair in the split case).  Types below the threshold t_n occur
-only along the diagonal d * e_vec; every high type occurs, with multiplicity
-the unit index [O_0^* : O_n^*].  Each type omega contributes q^{-c(omega) s}
-where the contribution c is f * omega, resp. omega_1 + omega_2, so the
-principal zeta function is a finite low-type sum plus a geometric high-type
-tail, and the full zeta function unrolls
+ideals are grouped by type: the g-tuple of uniformizer valuations of a
+generator, one per factor of L (a 1-tuple for a field).  Types below the
+threshold t_n occur only along the diagonal d * e_vec; every high type
+occurs, with multiplicity the unit index [O_0^* : O_n^*].  Each type omega
+contributes q^{-c(omega) s} where the contribution c is f * omega, resp.
+omega_1 + omega_2, so the principal zeta function is a finite low-type sum
+plus a geometric high-type tail, and the full zeta function unrolls
 
     full(n) = principal(n) + X * full(n-1).
 
@@ -28,15 +28,12 @@ ideals are >= 1, and the p-adic enumeration oracle measures them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .building import BasinKind
 from .errors import ArityMismatch
 from .genfun import layer_genfun_q
 from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
 from .report import CheckResult
-
-TypeVector = Union[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,8 @@ def all_cases() -> list[ExtensionCase]:
     return [_CASES[t] for t in (BasinKind.RAMIFIED, BasinKind.UNRAMIFIED, BasinKind.SPLIT)]
 
 
-def normalize_type(case: ExtensionCase, omega: TypeVector) -> tuple[int, ...]:
-    vec = (omega,) if isinstance(omega, int) else tuple(omega)
+def normalize_type(case: ExtensionCase, omega: tuple[int, ...]) -> tuple[int, ...]:
+    vec = tuple(omega)
     if len(vec) != case.g:
         raise ArityMismatch(f"{case.tag.value} types have {case.g} component(s)")
     if any(w < 0 for w in vec):
@@ -77,7 +74,7 @@ def normalize_type(case: ExtensionCase, omega: TypeVector) -> tuple[int, ...]:
     return vec
 
 
-def contribution(case: ExtensionCase, omega: TypeVector) -> int:
+def contribution(case: ExtensionCase, omega: tuple[int, ...]) -> int:
     """c(omega) = f . omega; the ideal index is q to this power."""
     vec = normalize_type(case, omega)
     return sum(f * w for f, w in zip(case.f_vec, vec))
@@ -111,7 +108,7 @@ class TypeDescriptor:
     contribution: int
 
 
-def classify_type(case: ExtensionCase, n: int, omega: TypeVector) -> TypeDescriptor:
+def classify_type(case: ExtensionCase, n: int, omega: tuple[int, ...]) -> TypeDescriptor:
     """Low/high split, occurrence, and |X_omega| for a possible type.
 
     Low types occur only at omega = d * e_vec (0 <= d < n) with count

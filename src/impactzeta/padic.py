@@ -4,7 +4,9 @@ Everything here is desk-scale verification machinery.  A case instance
 fixes a quadratic algebra O_K[Delta] with Delta^2 = tau*Delta - delta:
 
 * ramified:   Delta^2 = -p          (Eisenstein, tau = 0)
-* unramified: Delta^2 = epsilon     (smallest positive nonresidue mod p)
+* unramified: Delta^2 = epsilon     (smallest positive nonresidue mod p),
+              and Delta^2 = Delta - 1 at p = 2 (x^2 + x + 1 is
+              irreducible mod 2)
 * split:      Delta^2 = (p+1)Delta - p,  realizing Delta = (1, p) in K x K
 
 Elements x + y*Delta are held as exact integer pairs.  Rank-2 lattices
@@ -93,7 +95,6 @@ class CaseInstance:
     p: int
     tau: int
     delta: int
-    epsilon: Optional[int] = None
 
 
 def make_case(tag: BasinKind, p: int) -> CaseInstance:
@@ -101,12 +102,11 @@ def make_case(tag: BasinKind, p: int) -> CaseInstance:
         raise UnsupportedPrime(f"{p} is not prime")
     if tag is BasinKind.RAMIFIED:
         return CaseInstance(tag, p, tau=0, delta=p)
-    if tag is BasinKind.UNRAMIFIED:
-        if p == 2:
-            raise UnsupportedPrime("p = 2 unramified is not supported")
-        eps = _smallest_nonresidue(p)
-        return CaseInstance(tag, p, tau=0, delta=-eps, epsilon=eps)
-    return CaseInstance(tag, p, tau=p + 1, delta=p)
+    if tag is BasinKind.SPLIT:
+        return CaseInstance(tag, p, tau=p + 1, delta=p)
+    if p == 2:
+        return CaseInstance(tag, p, tau=1, delta=1)
+    return CaseInstance(tag, p, tau=0, delta=-_smallest_nonresidue(p))
 
 
 @dataclass(frozen=True)
@@ -443,7 +443,10 @@ class ClassAtlas:
 
     def lattice_at(self, addr: VertexAddr) -> LatticeHNF:
         if addr not in self._by_addr:
-            raise OutsideTruncation(str(addr))
+            raise OutsideTruncation(
+                f"vertex {addr} of {self.inst.tag.value} p={self.inst.p} is outside the "
+                f"atlas of radius {self.tree.radius} halfwidth {self.tree.halfwidth}"
+            )
         return self._by_addr[addr]
 
 
@@ -455,11 +458,10 @@ class IdealRecord:
     """One enumerated finite-index ideal of O_n (in the O_n basis)."""
 
     lattice: LatticeHNF
-    n: int
     index_exponent: int
     principal: bool
     generator: Optional[QuadElem] = None
-    type_eps: Optional[int | tuple[int, int]] = None
+    type_eps: Optional[tuple[int, ...]] = None
     vertex: Optional[VertexAddr] = None
     distance_to_main: Optional[int] = None
 
@@ -581,7 +583,7 @@ def _enumerate_core(
                 L = tuple.__new__(LatticeHNF, (p, a, c, b))
                 coords = _find_generator(inst, n, L)
                 if coords is None:
-                    records.append(IdealRecord(L, n, k, principal=False))
+                    records.append(IdealRecord(L, k, principal=False))
                     continue
                 u, v = coords
                 gen = QuadElem(inst, u, p**n * v)
@@ -590,7 +592,7 @@ def _enumerate_core(
                 dist = lattice_distance(inst, _ideal_class(inst, n, L), on_class)
                 records.append(
                     IdealRecord(
-                        L, n, k, principal=True, generator=gen, type_eps=eps, distance_to_main=dist
+                        L, k, principal=True, generator=gen, type_eps=eps, distance_to_main=dist
                     )
                 )
     return tuple(records)
@@ -608,19 +610,19 @@ def _confirm_generator(inst: CaseInstance, n: int, L: LatticeHNF, u: int, v: int
         raise AssertionError(f"claimed generator spans {H}, not {L}")
 
 
-def _exact_type(inst: CaseInstance, x: int, y: int) -> int | tuple[int, int]:
-    """Type of a nonzero x + y*Delta from exact integer coordinates.
+def _exact_type(inst: CaseInstance, x: int, y: int) -> tuple[int, ...]:
+    """Type of a nonzero x + y*Delta from exact integer coordinates: a g-tuple.
 
-    Ramified: val_pi = min(2 val(x), 2 val(y) + 1).  Unramified:
-    min(val(x), val(y)).  Split: val_p of each factor component, (x + y)
+    Ramified: (val_pi,) = (min(2 val(x), 2 val(y) + 1),).  Unramified:
+    (min(val(x), val(y)),).  Split: val_p of each factor component, (x + y)
     and (x + p*y).  A zero coordinate has infinite valuation and is skipped.
     """
     p = inst.p
     if inst.tag is BasinKind.SPLIT:
         return (_val(p, x + y), _val(p, x + p * y))
     if inst.tag is BasinKind.RAMIFIED:
-        return min(2 * _val(p, z) + i for i, z in enumerate((x, y)) if z)
-    return min(_val(p, z) for z in (x, y) if z)
+        return (min(2 * _val(p, z) + i for i, z in enumerate((x, y)) if z),)
+    return (min(_val(p, z) for z in (x, y) if z),)
 
 
 def _ideal_class(inst: CaseInstance, n: int, L: LatticeHNF) -> LatticeHNF:

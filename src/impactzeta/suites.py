@@ -129,14 +129,11 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
 
 
 def _possible_types(case, bound: int):
-    """Type vectors with contribution at most the bound."""
-    if case.g == 1:
-        f = case.f_vec[0]
-        return [w for w in range(bound // f + 1)]
+    """Type vectors (g-tuples) with contribution at most the bound."""
     return [
-        (w1, w2)
-        for w1 in range(bound + 1)
-        for w2 in range(bound + 1 - w1)
+        omega
+        for omega in product(range(bound + 1), repeat=case.g)
+        if contribution(case, omega) <= bound
     ]
 
 
@@ -179,49 +176,39 @@ def arithmetic_suite(
                 # (b) type histogram against the counting rules, and the
                 # contribution of each type against the index exponent.
                 histogram = Counter(r.type_eps for r in principal)
-                hist_ok = all(
-                    contribution(case, r.type_eps) == r.index_exponent
-                    for r in principal
-                )
-                possible = _possible_types(case, d_bound)
-                for omega in possible:
+                predicted = {}
+                for omega in _possible_types(case, d_bound):
                     desc = classify_type(case, n, omega)
-                    predicted = desc.count_expr.subs_q(p).as_int() if desc.occurs else 0
-                    if histogram.get(omega, 0) != predicted:
-                        hist_ok = False
+                    predicted[omega] = desc.count_expr.subs_q(p).as_int() if desc.occurs else 0
+                # Types outside the grid come last, with a prediction of 0.
+                wrong = [
+                    f"type {omega}: {histogram[omega]} enumerated, "
+                    f"{predicted.get(omega, 0)} predicted"
+                    for omega in {**predicted, **histogram}
+                    if histogram[omega] != predicted.get(omega, 0)
+                ] + [
+                    f"type {r.type_eps}: contribution {c}, index exponent {r.index_exponent}"
+                    for r in principal
+                    if (c := contribution(case, r.type_eps)) != r.index_exponent
+                ]
                 results.append(
                     CheckResult(
-                        f"type-histogram {label} n={n}",
-                        hist_ok
-                        and sum(histogram[w] for w in possible) == len(principal),
+                        f"type-histogram {label} n={n}", not wrong, wrong[0] if wrong else ""
                     )
                 )
-                # (c) principal series prefix.
-                principal_by_index = Counter(r.index_exponent for r in principal)
-                series = principal_count_series(case, n, d_bound, p)
-                results.append(
-                    CheckResult(
-                        f"principal-series {label} n={n}",
-                        all(
-                            principal_by_index.get(d, 0) == series[d]
-                            for d in range(d_bound + 1)
-                        ),
-                        f"observed {sorted(principal_by_index.items())}",
+                # (c) principal and full series prefixes, by index exponent.
+                for check, members, series in (
+                    ("principal-series", principal, principal_count_series(case, n, d_bound, p)),
+                    ("ideal-series", records, ideal_count_series(case, n, d_bound, p)),
+                ):
+                    by_index = Counter(r.index_exponent for r in members)
+                    results.append(
+                        CheckResult(
+                            f"{check} {label} n={n}",
+                            all(by_index[d] == series[d] for d in range(d_bound + 1)),
+                            f"observed {sorted(by_index.items())}",
+                        )
                     )
-                )
-                # (c') full series prefix: every enumerated ideal, by index.
-                by_index = Counter(r.index_exponent for r in records)
-                series = ideal_count_series(case, n, d_bound, p)
-                results.append(
-                    CheckResult(
-                        f"ideal-series {label} n={n}",
-                        all(
-                            by_index.get(d, 0) == series[d]
-                            for d in range(d_bound + 1)
-                        ),
-                        f"observed {sorted(by_index.items())}",
-                    )
-                )
                 # (d) vertices: the principal classes are exactly the layer-n
                 # vertices within contribution reach (the smallest
                 # contribution at a vertex is its distance to the way out).
@@ -255,12 +242,13 @@ def arithmetic_suite(
                 )
                 # (d') every ideal at a vertex of its multiplier level.
                 source_checks = source_and_distance_check(inst, n, d_bound, tree)
+                failed = [c for c in source_checks if not c.passed]
+                detail = f"{len(source_checks)} vertices checked"
+                if failed:
+                    vertex = failed[0].name.rpartition(" ")[2]
+                    detail += f", first failure {vertex}: {failed[0].detail}"
                 results.append(
-                    CheckResult(
-                        f"source-distance {label} n={n}",
-                        all_passed(source_checks),
-                        f"{len(source_checks)} vertices checked",
-                    )
+                    CheckResult(f"source-distance {label} n={n}", not failed, detail)
                 )
                 # (f) traveling map: bijection onto the next level's
                 # non-principal ideals, one index step up.

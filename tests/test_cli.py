@@ -526,25 +526,30 @@ def test_non_prime_rejected_at_parse_time(capsys, argv, message):
     assert "usage:" in err
 
 
-def test_enumerate_unramified_p2_is_a_usage_error(capsys):
+def test_enumerate_unramified_p2_lists_its_ideals(capsys):
+    # Delta^2 = Delta - 1 realises the unramified case at p = 2.
     code, out, err = run(
         capsys, "enumerate", "--case", "unramified", "--p", "2", "-n", "1",
         "--max-contribution", "2",
     )
-    assert code == 2
-    assert out == ""
-    assert "usage error: p = 2 unramified is not supported" in err
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "case: unramified  p: 2  n: 1  bound: 2  ideals: 5"
+    assert sum(line.startswith("[P]") for line in lines) == 4
 
 
-def test_verify_arithmetic_p2_skips_unramified(capsys):
+def test_verify_arithmetic_p2_runs_all_three_cases(capsys):
+    # All three cases run at p = 2, and nothing is written to stderr.
     code, out, err = run(
-        capsys, "verify", "--suite", "arithmetic", "--p", "2", "--max-n", "1",
-        "--max-contribution", "3", "--format", "json",
+        capsys, "verify", "--suite", "arithmetic", "--p", "2", "--max-n", "2",
+        "--max-contribution", "6", "--format", "json",
     )
     assert code == 0
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert names and not any("unramified" in name for name in names)
-    assert "unramified case skipped" in err
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 69 and all(c["passed"] for c in checks)
+    assert sum("unramified p=2" in c["name"] for c in checks) == 23
 
 
 def test_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):

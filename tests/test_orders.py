@@ -34,7 +34,7 @@ def test_case_vectors():
 
 def test_translation_vector_contributes_two():
     for case in all_cases():
-        assert contribution(case, case.e_vec if case.g == 2 else case.e_vec[0]) == 2
+        assert contribution(case, case.e_vec) == 2
 
 
 def test_unit_index_values():
@@ -46,13 +46,13 @@ def test_unit_index_values():
 
 
 def test_classify_low_not_occurring():
-    desc = classify_type(RAM, 2, 3)
+    desc = classify_type(RAM, 2, (3,))
     assert desc.is_low and not desc.occurs
     assert desc.count_expr.is_zero()
 
 
 def test_classify_low_occurring():
-    desc = classify_type(RAM, 2, 2)
+    desc = classify_type(RAM, 2, (2,))
     assert desc.is_low and desc.occurs
     assert desc.count_expr == Q
     assert desc.contribution == 2
@@ -66,7 +66,7 @@ def test_classify_high_split():
 
 
 def test_classify_unramified_low():
-    desc = classify_type(UNRAM, 2, 1)
+    desc = classify_type(UNRAM, 2, (1,))
     assert desc.is_low and desc.occurs
     assert desc.count_expr == Q
     assert desc.contribution == 2
@@ -76,7 +76,12 @@ def test_classify_arity():
     with pytest.raises(ArityMismatch):
         classify_type(RAM, 1, (1, 2))
     with pytest.raises(ArityMismatch):
-        classify_type(SPLIT, 1, 2)
+        classify_type(SPLIT, 1, (2,))
+    # A type is always a g-tuple: a bare int is not one, even for a field.
+    with pytest.raises(TypeError):
+        classify_type(RAM, 1, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        contribution(SPLIT, (1, -1))
 
 
 def test_principal_zeta_examples():

@@ -14,6 +14,7 @@ from impactzeta.building import (
 )
 from impactzeta.errors import (
     EnumerationOverflow,
+    ImpactZetaError,
     NotAnIdeal,
     NotInOrderUnit,
     OutsideTruncation,
@@ -28,6 +29,7 @@ from impactzeta.padic import (
     _find_generator,
     _ideal_class,
     _unit_class,
+    CaseInstance,
     ClassAtlas,
     LatticeHNF,
     QuadElem,
@@ -79,16 +81,21 @@ def split3():
 
 def test_make_case_parameters(ram3, unram3):
     assert (ram3.tau, ram3.delta) == (0, 3)
-    assert unram3.epsilon == 2  # smallest nonresidue mod 3
+    assert (unram3.tau, unram3.delta) == (0, -2)  # Delta^2 = 2, a nonresidue mod 3
+    unram2 = make_case(UNRAM, 2)
+    assert (unram2.tau, unram2.delta) == (1, 1)  # Delta^2 = Delta - 1
     split5 = make_case(SPLIT, 5)
     assert (split5.tau, split5.delta) == (6, 5)
 
 
 def test_make_case_validation():
-    with pytest.raises(UnsupportedPrime):
-        make_case(UNRAM, 2)
-    with pytest.raises(UnsupportedPrime):
-        make_case(RAM, 4)
+    # Every case has an instance at every prime, p = 2 included; only a
+    # non-prime p is refused.
+    for tag in (RAM, UNRAM, SPLIT):
+        assert make_case(tag, 2).p == 2
+        for p in (0, 1, 4, 9):
+            with pytest.raises(UnsupportedPrime, match=f"{p} is not prime"):
+                make_case(tag, p)
 
 
 # -- element arithmetic ------------------------------------------------------
@@ -106,9 +113,10 @@ def test_mul_examples(ram3, split3):
 def test_elem_type_examples(ram3, unram3, split3):
     # 3*Delta in the split case has factor components (0 + 3, 0 + 3*3).
     assert _exact_type(split3, 0, 3) == (1, 2)
-    assert _exact_type(ram3, 0, 1) == 1
-    assert _exact_type(unram3, 3, 3) == 1
-    assert _exact_type(ram3, 9, 0) == 4
+    # A type is a g-tuple in every case: a 1-tuple for the two fields.
+    assert _exact_type(ram3, 0, 1) == (1,)
+    assert _exact_type(unram3, 3, 3) == (1,)
+    assert _exact_type(ram3, 9, 0) == (4,)
 
 
 def test_enumeration_overflow_guard():
@@ -164,6 +172,12 @@ def test_level0_reps_counts(ram3, unram3, split3):
     assert len(level0_reps(split3)) == 2
 
 
+def test_level0_reps_unramified_p2():
+    # F_4^* / F_2^* has order 3: the units 1, Delta and 1 + Delta.
+    inst = make_case(UNRAM, 2)
+    assert level0_reps(inst) == (QuadElem(inst, 0, 1), QuadElem(inst, 1, 0), QuadElem(inst, 1, 1))
+
+
 def test_unit_representative_records(ram3, unram3):
     # Level 1, index t = 2: the representative 1 + 2*p*Delta.
     rep = unit_rep(ram3, 1, 2)
@@ -182,7 +196,7 @@ def test_coset_reps_counts(ram3, unram3, split3):
 
 
 def test_coset_counts_match_unit_index_formula():
-    for tag, p in [(RAM, 2), (RAM, 3), (UNRAM, 3), (UNRAM, 5), (SPLIT, 2), (SPLIT, 3)]:
+    for tag, p in [(RAM, 2), (RAM, 3), (UNRAM, 2), (UNRAM, 3), (UNRAM, 5), (SPLIT, 2), (SPLIT, 3)]:
         inst = make_case(tag, p)
         case = extension_case(tag)
         # Products of n unit factors grow as exact integers; n <= 4 for p <= 3.
@@ -191,7 +205,7 @@ def test_coset_counts_match_unit_index_formula():
             assert len(coset_reps(inst, n, n)) == formula
 
 
-CASES = [(RAM, 2), (RAM, 3), (UNRAM, 3), (UNRAM, 5), (SPLIT, 2), (SPLIT, 3)]
+CASES = [(RAM, 2), (RAM, 3), (UNRAM, 3), (UNRAM, 5), (SPLIT, 2), (SPLIT, 3), (UNRAM, 2)]
 
 
 def _same_coset(inst, n, u, v):
@@ -345,7 +359,7 @@ def test_ideal_closure_examples(ram3):
 def test_enumerate_histogram_ramified(ram3):
     records = enumerate_ideals(ram3, 1, 3)
     hist = Counter(r.type_eps for r in records if r.principal)
-    assert hist == {0: 1, 2: 3, 3: 3}
+    assert hist == {(0,): 1, (2,): 3, (3,): 3}
     assert sum(1 for r in records if not r.principal) == 3
 
 
@@ -392,7 +406,7 @@ def test_scan_visits_every_reduced_hermite_form_once(monkeypatch, tag):
 
 
 @pytest.mark.parametrize(
-    "tag,p", [(RAM, 2), (RAM, 3), (SPLIT, 2), (SPLIT, 3), (UNRAM, 3), (UNRAM, 5)]
+    "tag,p", [(RAM, 2), (RAM, 3), (SPLIT, 2), (SPLIT, 3), (UNRAM, 3), (UNRAM, 5), (UNRAM, 2)]
 )
 def test_closure_test_matches_the_column_referee(tag, p):
     # The root condition of is_ideal against the direct test that p^n*Delta
@@ -431,7 +445,7 @@ def test_generator_spans_ideal(ram3):
     # Confirmed during enumeration, but double-check one by hand: the
     # index-9 ideal with generator 3 is 3*O_1.
     records = enumerate_ideals(ram3, 1, 2)
-    three = [r for r in records if r.principal and r.type_eps == 2]
+    three = [r for r in records if r.principal and r.type_eps == (2,)]
     assert len(three) == 3
     lattices = {r.lattice.key() for r in three}
     assert (1, 0, 1) in lattices  # 3*O_1 = [[3,0],[0,3]]
@@ -461,6 +475,7 @@ REFEREE_GRID = [
     (RAM, 2, 5), (RAM, 3, 5), (RAM, 5, 4),
     (UNRAM, 3, 5), (UNRAM, 5, 4),
     (SPLIT, 2, 5), (SPLIT, 3, 5), (SPLIT, 5, 4),
+    (UNRAM, 2, 6),
 ]
 
 
@@ -511,13 +526,28 @@ def test_type_histogram_fails_on_a_type_outside_the_grid(monkeypatch):
     def with_stray_type(*args, **kwargs):
         records = enumerate_ideals(*args, **kwargs)
         stray = next(r for r in records if r.principal)
-        return records + [dataclasses.replace(stray, type_eps=99)]
+        return records + [dataclasses.replace(stray, type_eps=(99,))]
 
     monkeypatch.setattr(suites, "enumerate_ideals", with_stray_type)
     results = arithmetic_suite({RAM: (3,)}, 1, 4)
     histogram = [r for r in results if r.name.startswith("type-histogram ramified p=3")]
     assert len(histogram) == 2
     assert not any(r.passed for r in histogram)
+    # The detail names the first type whose count disagrees: every type on
+    # the grid agrees, so it is the stray one.
+    assert {r.detail for r in histogram} == {"type (99,): 1 enumerated, 0 predicted"}
+
+
+def test_a_reducible_delta_at_p2_does_not_pass(monkeypatch):
+    # Delta^2 = Delta (tau = 1, delta = 0): x^2 + x = x(x + 1) splits mod 2,
+    # so this algebra is not the unramified field, and the oracle must not
+    # reproduce the unramified counts.
+    monkeypatch.setattr(suites, "make_case", lambda tag, p: CaseInstance(tag, p, tau=1, delta=0))
+    try:
+        results = arithmetic_suite({UNRAM: (2,)}, 2, 6)
+    except ImpactZetaError:
+        return
+    assert not all_passed(results)
 
 
 def test_traveling_examples(ram3):
@@ -562,6 +592,12 @@ def test_atlas_covers_layers(unram3):
     atlas = ClassAtlas(unram3, tree)
     located = {atlas.locate(atlas.lattice_at(v)) for v in tree.vertices}
     assert located == set(tree.vertices)
+    with pytest.raises(
+        OutsideTruncation,
+        match=r"vertex 0:0\.0\.0 of unramified p=3 is outside the atlas of radius 2 "
+        r"halfwidth 0",
+    ):
+        atlas.lattice_at(VertexAddr(0, (0, 0, 0)))
 
 
 def test_ideal_vertices_fill_layer(ram3):
@@ -573,7 +609,7 @@ def test_ideal_vertices_fill_layer(ram3):
     assert {r.vertex for r in records if not r.principal} == {VertexAddr(0), VertexAddr(1)}
     # Odd-type ideals live on the second anchor's side.
     for r in records:
-        if r.principal and r.type_eps % 2 == 1:
+        if r.principal and r.type_eps[0] % 2 == 1:
             assert r.vertex.anchor == 1
         elif r.principal:
             assert r.vertex.anchor == 0
@@ -582,7 +618,7 @@ def test_ideal_vertices_fill_layer(ram3):
 def test_ideal_vertex_of_main_order(ram3):
     tree = build_truncated(BuildingSpec(RAM, 3), 1)
     records = enumerate_ideals(ram3, 1, 3, tree)
-    on = [r for r in records if r.principal and r.type_eps == 0]
+    on = [r for r in records if r.principal and r.type_eps == (0,)]
     assert len(on) == 1
     assert on[0].vertex == way_out_vertex(tree.spec, 1)
     # O_1 in {1, Delta} coordinates is the order lattice of level 1.
@@ -647,6 +683,29 @@ def test_source_check_sees_a_multiplier_level_off_by_one(monkeypatch, tag, shift
     monkeypatch.setattr(padic, "multiplier_level", shifted)
     checks = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
     assert not all_passed(checks)
+
+
+def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
+    inst = make_case(RAM, 3)
+    name = "source-distance ramified p=3 n=2"
+
+    def source_check():
+        return next(r for r in arithmetic_suite({RAM: (3,)}, 2, 6) if r.name == name)
+
+    checks = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
+    passing = source_check()
+    assert passing.passed and passing.detail == f"{len(checks)} vertices checked"
+    real = padic.multiplier_level
+    monkeypatch.setattr(padic, "multiplier_level", lambda inst, n, L: real(inst, n, L) + 1)
+    checks = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
+    first = next(c for c in checks if not c.passed)
+    vertex = first.name.rpartition(" ")[2]
+    assert vertex.startswith("vertex=")
+    failing = source_check()
+    assert not failing.passed
+    assert failing.detail == (
+        f"{len(checks)} vertices checked, first failure {vertex}: {first.detail}"
+    )
 
 
 def test_unramified_distance_two_sources(unram3):

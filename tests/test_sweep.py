@@ -15,12 +15,7 @@ from impactzeta.cli import main
 from impactzeta.errors import LimitExceeded
 from impactzeta.suites import arithmetic_suite, oracle_suite
 
-ARITHMETIC_PRIMES = [
-    (kind, p)
-    for kind in BasinKind
-    for p in (2, 3, 5)
-    if not (kind is BasinKind.UNRAMIFIED and p == 2)
-]
+ARITHMETIC_PRIMES = [(kind, p) for kind in BasinKind for p in (2, 3, 5)]
 
 
 def _failures(results):
