@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -59,12 +60,10 @@ from .errors import (
     OutsideTruncation,
     UnsupportedPrime,
 )
-from .report import CheckResult
 
 MAX_ENUMERATED_LATTICES = 2_000_000
 MAX_COSET_REPS = 100_000
-# Entries kept by each per-instance cache below (level-0 units, apartment
-# classes, enumerations).
+# Entries kept by the one cache here: the enumerations of _enumerate_core.
 CACHE_SIZE = 256
 
 
@@ -118,13 +117,8 @@ class QuadElem:
     y: int
 
     def __mul__(self, other: QuadElem) -> QuadElem:
-        tau, delta = self.inst.tau, self.inst.delta
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        return QuadElem(
-            self.inst,
-            x1 * x2 - delta * y1 * y2,
-            x1 * y2 + y1 * x2 + tau * y1 * y2,
-        )
+        m00, m01, m10, m11 = _mul_matrix(self.inst, 0, self.x, self.y)
+        return QuadElem(self.inst, m00 * other.x + m01 * other.y, m10 * other.x + m11 * other.y)
 
     def norm(self) -> int:
         """N(x + y*Delta) = x^2 + tau*x*y + delta*y^2."""
@@ -136,6 +130,15 @@ class QuadElem:
 
     def __str__(self) -> str:
         return f"{self.x} + {self.y}*D"
+
+
+def _mul_matrix(inst: CaseInstance, n: int, u: int, v: int) -> tuple[int, int, int, int]:
+    """Multiplication by u + v*p^n*Delta on the O_n basis {1, p^n*Delta}.
+
+    Entries (m00, m01, m10, m11): the columns are the images of 1 and p^n*Delta.
+    """
+    pn = inst.p**n
+    return (u, -inst.delta * pn * pn * v, v, u + inst.tau * pn * v)
 
 
 def _val(p: int, r: int) -> int:
@@ -175,7 +178,6 @@ def _unit_class(inst: CaseInstance, n: int, u: QuadElem) -> tuple[int, int]:
     return (u.x * s % pn, u.y * s % pn)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
     """Coset representatives of O_0^*/O_1^*.
 
@@ -261,9 +263,6 @@ class LatticeHNF(_HNF):
         """Entries (m00, m01, m10, m11) with m10 = 0."""
         return (self.p**self.a_exp, self.c, 0, self.p**self.b_exp)
 
-    def key(self) -> tuple[int, int, int]:
-        return (self.a_exp, self.c, self.b_exp)
-
     def __str__(self) -> str:
         return f"[[{self.p}^{self.a_exp},{self.c}],[0,{self.p}^{self.b_exp}]]"
 
@@ -295,21 +294,16 @@ def class_rep(L: LatticeHNF) -> LatticeHNF:
     return LatticeHNF(L.p, L.a_exp - v, L.c // L.p**v, L.b_exp - v)
 
 
-def standard_lattice(p: int) -> LatticeHNF:
-    return LatticeHNF(p, 0, 0, 0)
-
-
 def order_lattice(p: int, n: int) -> LatticeHNF:
     """O_n in the coordinate basis {1, Delta}: span of (1,0) and (0, p^n)."""
     return LatticeHNF(p, 0, 0, n)
 
 
 def second_anchor_lattice(p: int) -> LatticeHNF:
-    """Ramified case: the class of Delta*O_0, adjacent to the standard class."""
+    """Ramified case: the class of Delta*O_0, adjacent to the class of O_0."""
     return LatticeHNF(p, 1, 0, 0)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def apartment_lattice(inst: CaseInstance, j: int) -> LatticeHNF:
     """Split case: the class of the apartment vertex at position j.
 
@@ -321,8 +315,7 @@ def apartment_lattice(inst: CaseInstance, j: int) -> LatticeHNF:
     k = abs(j)
     y = (inst.p**k - 1) // (inst.p - 1)
     x = (1 - y) if j >= 0 else (inst.p**k - y)
-    cols = (x, -inst.delta * y, y, x + inst.tau * y)
-    return class_rep(hnf(inst.p, *cols))
+    return class_rep(hnf(inst.p, *_mul_matrix(inst, 0, x, y)))
 
 
 def lattice_distance(inst: CaseInstance, A: LatticeHNF, B: LatticeHNF) -> int:
@@ -357,8 +350,8 @@ def neighbor_classes(inst: CaseInstance, L: LatticeHNF) -> list[LatticeHNF]:
         c01 = m00 * s01 + m01 * s11
         c11 = m10 * s01 + m11 * s11
         cls = class_rep(hnf(p, c00, c01, c10, c11))
-        if cls.key() not in seen:
-            seen.add(cls.key())
+        if cls not in seen:
+            seen.add(cls)
             out.append(cls)
     if len(out) != p + 1:
         raise AssertionError("index-p sublattices did not give p+1 classes")
@@ -369,7 +362,7 @@ class ClassAtlas:
     """Bijection between lattice classes and tree addresses.
 
     Built by breadth-first descent from the basin anchor classes, labelling
-    children in sorted Hermite-key order except along the way out, where
+    children in sorted Hermite order except along the way out, where
     child 0 is forced to be the next main-sequence class O_{h+1}.
     """
 
@@ -378,62 +371,44 @@ class ClassAtlas:
             raise ValueError("tree and case instance do not match")
         self.inst = inst
         self.tree = tree
-        self._by_key: dict[tuple[int, int, int], VertexAddr] = {}
-        self._by_addr: dict[VertexAddr, LatticeHNF] = {}
-        self._build()
-
-    def _anchor_items(self):
-        inst = self.inst
         p = inst.p
+        # (address, class, classes excluded from its children)
         if inst.tag is BasinKind.UNRAMIFIED:
-            return [(0, standard_lattice(p), [])]
-        if inst.tag is BasinKind.RAMIFIED:
-            o0 = standard_lattice(p)
-            pi = second_anchor_lattice(p)
-            return [(0, o0, [pi]), (1, pi, [o0])]
-        hw = self.tree.halfwidth
-        return [
-            (j, apartment_lattice(inst, j), [apartment_lattice(inst, j + s) for s in (-1, 1)])
-            for j in range(-hw, hw + 1)
-        ]
-
-    def _build(self):
-        anchors: list[tuple[VertexAddr, LatticeHNF, list[LatticeHNF]]] = []
-        for anchor, lat, basin_nbrs in self._anchor_items():
-            addr = VertexAddr(anchor)
-            self._register(addr, lat)
-            anchors.append((addr, lat, basin_nbrs))
-        for addr, lat, excluded in anchors:
-            self._descend(addr, lat, excluded)
-
-    def _register(self, addr: VertexAddr, lat: LatticeHNF):
-        if lat.key() in self._by_key:
-            raise AssertionError(f"class {lat} registered twice")
-        self._by_key[lat.key()] = addr
-        self._by_addr[addr] = lat
-
-    def _descend(self, addr: VertexAddr, lat: LatticeHNF, excluded: list[LatticeHNF]):
-        if addr.height >= self.tree.radius:
-            return
-        skip = {e.key() for e in excluded}
-        children = [
-            c for c in neighbor_classes(self.inst, lat) if c.key() not in skip
-        ]
-        children.sort(key=lambda c: c.key())
-        on_spine = addr.anchor == 0 and all(i == 0 for i in addr.word)
-        if on_spine:
-            nxt = class_rep(order_lattice(self.inst.p, addr.height + 1))
-            if all(c.key() != nxt.key() for c in children):
-                raise AssertionError("main-sequence class missing among children")
-            children.sort(key=lambda c: (c.key() != nxt.key(), c.key()))
-        for i, child in enumerate(children):
-            child_addr = VertexAddr(addr.anchor, addr.word + (i,))
-            self._register(child_addr, child)
-            self._descend(child_addr, child, [lat])
+            queue = deque([(VertexAddr(0), order_lattice(p, 0), ())])
+        elif inst.tag is BasinKind.RAMIFIED:
+            o0, pi = order_lattice(p, 0), second_anchor_lattice(p)
+            queue = deque([(VertexAddr(0), o0, (pi,)), (VertexAddr(1), pi, (o0,))])
+        else:
+            hw = tree.halfwidth
+            line = {j: apartment_lattice(inst, j) for j in range(-hw - 1, hw + 2)}
+            queue = deque(
+                (VertexAddr(j), line[j], (line[j - 1], line[j + 1])) for j in range(-hw, hw + 1)
+            )
+        self._by_class: dict[LatticeHNF, VertexAddr] = {}
+        self._by_addr: dict[VertexAddr, LatticeHNF] = {}
+        while queue:
+            addr, lat, excluded = queue.popleft()
+            if lat in self._by_class:
+                raise AssertionError(f"class {lat} registered twice")
+            self._by_class[lat] = addr
+            self._by_addr[addr] = lat
+            if addr.height >= tree.radius:
+                continue
+            children = sorted(c for c in neighbor_classes(inst, lat) if c not in excluded)
+            if addr.anchor == 0 and not any(addr.word):
+                nxt = order_lattice(p, addr.height + 1)
+                if nxt not in children:
+                    raise AssertionError("main-sequence class missing among children")
+                children.remove(nxt)
+                children.insert(0, nxt)
+            queue.extend(
+                (VertexAddr(addr.anchor, addr.word + (i,)), child, (lat,))
+                for i, child in enumerate(children)
+            )
 
     def locate(self, lat: LatticeHNF) -> VertexAddr:
         cls = class_rep(lat)
-        addr = self._by_key.get(cls.key())
+        addr = self._by_class.get(cls)
         if addr is None:
             raise OutsideTruncation(
                 f"class {cls} of {self.inst.tag.value} p={self.inst.p} is outside the "
@@ -600,12 +575,7 @@ def _enumerate_core(
 
 def _confirm_generator(inst: CaseInstance, n: int, L: LatticeHNF, u: int, v: int):
     """Check alpha*O_n = I by Hermite-form comparison (exact integers)."""
-    tau_n = inst.tau * inst.p**n
-    delta_n = inst.delta * inst.p ** (2 * n)
-    # Columns of multiplication by alpha on the O_n basis.
-    c00, c10 = u, v
-    c01, c11 = -delta_n * v, u + tau_n * v
-    H = hnf(inst.p, c00, c01, c10, c11)
+    H = hnf(inst.p, *_mul_matrix(inst, n, u, v))
     if H != L:
         raise AssertionError(f"claimed generator spans {H}, not {L}")
 
@@ -642,9 +612,9 @@ def enumerate_ideals(
 ) -> list[IdealRecord]:
     """All ideals of O_n with index exponent <= max_contribution.
 
-    Records are ordered by Hermite key.  When a matching truncated tree is
-    supplied, every record, principal or not, additionally carries the tree
-    address of its lattice class.
+    Records come in scan order: by index exponent, then a, then c.  When a
+    matching truncated tree is supplied, every record, principal or not,
+    additionally carries the tree address of its lattice class.
     """
     core = _enumerate_core(inst, n, max_contribution)
     if tree is None:
@@ -676,38 +646,36 @@ def source_and_distance_check(
     n: int,
     max_contribution: int,
     tree: TruncatedTree,
-) -> list[CheckResult]:
-    """Placement of every ideal of O_n: one result per vertex v of the ball.
+) -> tuple[int, list[str]]:
+    """Placement of every ideal of O_n, vertex by vertex over the ball.
 
     The ball is every truncation vertex within distance max_contribution of
     the way-out vertex O_n, and any vertex holding an ideal.  v passes when
     (i) each ideal there has multiplier level h(v), (ii) each principal one
     has lattice distance dist(v, O_n) to O_n, and (iii) the index exponents
     there are exactly dist, dist + 2, ... up to the bound.  So the pairs
-    (vertex, index exponent) are distinct and fill the ball.
+    (vertex, index exponent) are distinct and fill the ball.  Returns the
+    number of vertices checked and a description of each failing vertex,
+    in the order of the truncation.
     """
     records = enumerate_ideals(inst, n, max_contribution, tree)
     by_vertex: dict[VertexAddr, list[IdealRecord]] = {}
     for rec in records:
         by_vertex.setdefault(rec.vertex, []).append(rec)
     target = way_out_vertex(tree.spec, n)
-    results = []
+    checked = 0
+    failures = []
     for v in tree.vertices:
         dist = tree_distance(tree, v, target)
         group = by_vertex.get(v, [])
         if dist > max_contribution and not group:
             continue
+        checked += 1
         exponents = sorted(r.index_exponent for r in group)
-        ok = (
+        if not (
             exponents == list(range(dist, max_contribution + 1, 2))
             and all(multiplier_level(inst, n, r.lattice) == v.height for r in group)
             and all(r.distance_to_main == dist for r in group if r.principal)
-        )
-        results.append(
-            CheckResult(
-                f"source {inst.tag.value} p={inst.p} n={n} vertex={v}",
-                ok,
-                f"distance {dist}, index exponents {exponents}",
-            )
-        )
-    return results
+        ):
+            failures.append(f"vertex={v}: distance {dist}, index exponents {exponents}")
+    return checked, failures

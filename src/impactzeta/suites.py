@@ -241,24 +241,20 @@ def arithmetic_suite(
                     )
                 )
                 # (d') every ideal at a vertex of its multiplier level.
-                source_checks = source_and_distance_check(inst, n, d_bound, tree)
-                failed = [c for c in source_checks if not c.passed]
-                detail = f"{len(source_checks)} vertices checked"
-                if failed:
-                    vertex = failed[0].name.rpartition(" ")[2]
-                    detail += f", first failure {vertex}: {failed[0].detail}"
+                checked, failures = source_and_distance_check(inst, n, d_bound, tree)
+                detail = f"{checked} vertices checked"
+                if failures:
+                    detail += f", first failure {failures[0]}"
                 results.append(
-                    CheckResult(f"source-distance {label} n={n}", not failed, detail)
+                    CheckResult(f"source-distance {label} n={n}", not failures, detail)
                 )
                 # (f) traveling map: bijection onto the next level's
                 # non-principal ideals, one index step up.
                 if n < n_max:
                     inner = enumerate_ideals(inst, n, d_bound - 1)
-                    image = {traveling(inst, n, r.lattice).key() for r in inner}
+                    image = {traveling(inst, n, r.lattice) for r in inner}
                     nxt = enumerate_ideals(inst, n + 1, d_bound)
-                    non_principal = {
-                        r.lattice.key() for r in nxt if not r.principal
-                    }
+                    non_principal = {r.lattice for r in nxt if not r.principal}
                     results.append(
                         CheckResult(
                             f"traveling {label} n={n}->{n + 1}",

@@ -3,7 +3,8 @@
 ``padic`` (ideal enumeration and placement) and ``building`` (trees and the
 walk-count BFS) must import nothing from ``orders`` (the type counts and
 zeta functions) or ``genfun`` (the closed-form generating functions), in
-any import form, anywhere in the module.
+any import form, anywhere in the module.  Nor do they import ``report``:
+they return data, and ``suites`` builds the checks from it.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "impactzeta"
 ORACLES = ("padic", "building")
 FORMULAS = {"orders", "genfun"}
+CHECK_RECORDS = {"report"}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
@@ -42,3 +44,9 @@ def test_oracles_import_no_formula_module():
     for name in ORACLES:
         tree = ast.parse((SRC / f"{name}.py").read_text())
         assert not imported_modules(tree) & FORMULAS, name
+
+
+def test_oracles_build_no_check_records():
+    for name in ORACLES:
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        assert not imported_modules(tree) & CHECK_RECORDS, name

@@ -48,7 +48,6 @@ from impactzeta.padic import (
     second_anchor_lattice,
     slope_map,
     source_and_distance_check,
-    standard_lattice,
     traveling,
     unit_rep,
 )
@@ -273,11 +272,11 @@ def test_hnf_reduce_basic(ram3):
 def test_class_rep_strips_scaling():
     L = LatticeHNF(3, 2, 3, 1)
     assert class_rep(L) == LatticeHNF(3, 1, 1, 0)
-    assert class_rep(LatticeHNF(3, 0, 0, 0)) == standard_lattice(3)
+    assert class_rep(LatticeHNF(3, 0, 0, 0)) == order_lattice(3, 0)
 
 
 def test_lattice_distances(ram3):
-    o0 = standard_lattice(3)
+    o0 = order_lattice(3, 0)
     pi = second_anchor_lattice(3)
     assert lattice_distance(ram3, o0, o0) == 0
     assert lattice_distance(ram3, o0, pi) == 1
@@ -286,7 +285,7 @@ def test_lattice_distances(ram3):
 
 
 def test_apartment_lattice_positions(split3):
-    assert apartment_lattice(split3, 0) == standard_lattice(3)
+    assert apartment_lattice(split3, 0) == order_lattice(3, 0)
     for i in range(-3, 4):
         for j in range(-3, 4):
             d = lattice_distance(
@@ -306,7 +305,12 @@ def test_lattice_record_contract(ram3):
     twin = hnf(3, 81, 17, 0, 9)
     assert twin == L and hash(twin) == hash(L)
     assert len({L, twin, LatticeHNF(3, 4, 17, 1)}) == 2
-    assert (str(L), L.key(), L.index_exponent) == ("[[3^4,17],[0,3^2]]", (4, 17, 2), 6)
+    assert (str(L), L.index_exponent) == ("[[3^4,17],[0,3^2]]", 6)
+    # The record is its own key: it equals, and sorts as, the tuple (p, a, c, b).
+    assert L == (3, 4, 17, 2)
+    assert sorted([L, LatticeHNF(3, 1, 2, 5), LatticeHNF(3, 4, 5, 0)]) == [
+        (3, 1, 2, 5), (3, 4, 5, 0), (3, 4, 17, 2)
+    ]
     assert repr(L) == "LatticeHNF(p=3, a_exp=4, c=17, b_exp=2)"
     # traveling's image set: distinct ideals of O_0 stay distinct in O_1.
     inner = enumerate_ideals(ram3, 0, 3)
@@ -325,7 +329,7 @@ def test_unit_action_fixes_basin(ram3, unram3, split3):
     # The filtration units have unit norm (the determinant of multiplication
     # by u) and fix the anchor classes.
     for inst in (ram3, unram3, split3):
-        o0 = standard_lattice(inst.p)
+        o0 = order_lattice(inst.p, 0)
         for level in (0, 1, 2):
             size = len(level0_reps(inst)) if level == 0 else inst.p
             for t in range(size):
@@ -390,14 +394,13 @@ def test_scan_visits_every_reduced_hermite_form_once(monkeypatch, tag):
     monkeypatch.setattr(padic, "is_ideal", recording)
     records = enumerate_ideals(inst, 1, bound)
     # The candidates are plain (p, a, c, b) tuples; only an ideal gets a record.
-    keys = [LatticeHNF(*L).key() for L in seen]
     expected = {
-        (a, c, k - a)
+        (p, a, c, k - a)
         for k in range(bound + 1)
         for a in range(k + 1)
         for c in range(p**a)
     }
-    assert len(keys) == len(set(keys)) and set(keys) == expected
+    assert len(seen) == len(set(seen)) and set(seen) == expected
     assert len(seen) == sum(p**a for k in range(bound + 1) for a in range(k + 1))
     # The scan builds its candidates without validation; the checked
     # constructor must accept every one of them.
@@ -426,8 +429,19 @@ def test_closure_test_matches_the_column_referee(tag, p):
 
 
 def test_caches_are_bounded():
-    for cached in (level0_reps, apartment_lattice, _enumerate_core):
-        assert cached.cache_info().maxsize == CACHE_SIZE
+    # Every lru_cache wrapper defined in padic, at module level or on a
+    # class, keeps at most CACHE_SIZE entries: an unbounded cache fails here.
+    namespaces = [vars(padic)] + [
+        vars(obj) for obj in vars(padic).values() if isinstance(obj, type)
+    ]
+    cached = [
+        obj
+        for ns in namespaces
+        for obj in ns.values()
+        if hasattr(obj, "cache_info") and obj.__module__ == padic.__name__
+    ]
+    assert _enumerate_core in cached
+    assert all(c.cache_info().maxsize == CACHE_SIZE for c in cached)
     assert isinstance(CACHE_SIZE, int)
 
 
@@ -447,8 +461,8 @@ def test_generator_spans_ideal(ram3):
     records = enumerate_ideals(ram3, 1, 2)
     three = [r for r in records if r.principal and r.type_eps == (2,)]
     assert len(three) == 3
-    lattices = {r.lattice.key() for r in three}
-    assert (1, 0, 1) in lattices  # 3*O_1 = [[3,0],[0,3]]
+    lattices = {r.lattice for r in three}
+    assert LatticeHNF(3, 1, 0, 1) in lattices  # 3*O_1 = [[3,0],[0,3]]
 
 
 def _exhaustive_generator(inst, n, L):
@@ -555,17 +569,17 @@ def test_traveling_examples(ram3):
     image = traveling(ram3, 0, o0_as_ideal)
     assert image == LatticeHNF(3, 1, 0, 0)
     records = enumerate_ideals(ram3, 1, 3)
-    rec = {r.lattice.key(): r for r in records}
-    assert rec[(1, 0, 0)].principal is False  # pO_0 is not principal in O_1
+    rec = {r.lattice: r for r in records}
+    assert rec[LatticeHNF(3, 1, 0, 0)].principal is False  # pO_0 is not principal in O_1
     with pytest.raises(NotAnIdeal):
         traveling(ram3, 1, LatticeHNF(3, 0, 0, 1))
 
 
 def test_traveling_bijection_small(ram3):
     inner = enumerate_ideals(ram3, 0, 3)
-    image = {traveling(ram3, 0, r.lattice).key() for r in inner}
+    image = {traveling(ram3, 0, r.lattice) for r in inner}
     outer = enumerate_ideals(ram3, 1, 4)
-    non_principal = {r.lattice.key() for r in outer if not r.principal}
+    non_principal = {r.lattice for r in outer if not r.principal}
     assert image == non_principal
     assert len(image) == len(inner)
 
@@ -635,15 +649,22 @@ def test_split_high_type_vertex(split3):
         assert r.distance_to_main == 3
 
 
-def test_source_and_distance(ram3, unram3, split3):
+def test_source_and_distance(monkeypatch, ram3, unram3, split3):
+    real = padic.multiplier_level
     for inst in (ram3, unram3, split3):
         tree = suites.arithmetic_tree(inst, 1, 4)
-        checks = source_and_distance_check(inst, 1, 4, tree)
-        assert checks and all_passed(checks)
-        # One check per vertex within distance 4 of O_1 in the truncation.
+        # One vertex checked per vertex within distance 4 of O_1 in the
+        # truncation, and none fails.
         target = way_out_vertex(tree.spec, 1)
         ball = [v for v in tree.vertices if distance(tree, v, target) <= 4]
-        assert [c.name.rpartition("vertex=")[2] for c in checks] == list(map(str, ball))
+        assert source_and_distance_check(inst, 1, 4, tree) == (len(ball), [])
+        # Every ball vertex holds an ideal, so a level one too high fails
+        # each of them, and the failures name the vertices in tree order.
+        monkeypatch.setattr(padic, "multiplier_level", lambda inst, n, L: real(inst, n, L) + 1)
+        checked, failures = source_and_distance_check(inst, 1, 4, tree)
+        monkeypatch.undo()
+        assert checked == len(ball)
+        assert [f.partition(": ")[0] for f in failures] == [f"vertex={v}" for v in ball]
 
 
 def _class_moved_by_delta(inst, n, L):
@@ -664,9 +685,9 @@ def test_source_check_sees_moved_non_principal_classes(monkeypatch, tag, p, n):
     # vertices inside the atlas; no principal record changes.
     inst = make_case(tag, p)
     tree = suites.arithmetic_tree(inst, n, 6)
-    assert all_passed(source_and_distance_check(inst, n, 6, tree))
+    assert source_and_distance_check(inst, n, 6, tree)[1] == []
     monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta)
-    assert not all_passed(source_and_distance_check(inst, n, 6, tree))
+    assert source_and_distance_check(inst, n, 6, tree)[1]
 
 
 @pytest.mark.parametrize("tag", [RAM, SPLIT])
@@ -681,8 +702,8 @@ def test_source_check_sees_a_multiplier_level_off_by_one(monkeypatch, tag, shift
         return min(max(real(inst, n, L) + shift, 0), n)
 
     monkeypatch.setattr(padic, "multiplier_level", shifted)
-    checks = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
-    assert not all_passed(checks)
+    checked, failures = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
+    assert checked and failures
 
 
 def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
@@ -692,19 +713,19 @@ def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
     def source_check():
         return next(r for r in arithmetic_suite({RAM: (3,)}, 2, 6) if r.name == name)
 
-    checks = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
+    tree = suites.arithmetic_tree(inst, 2, 6)
+    checked, failures = source_and_distance_check(inst, 2, 6, tree)
     passing = source_check()
-    assert passing.passed and passing.detail == f"{len(checks)} vertices checked"
+    assert passing.passed and passing.detail == f"{checked} vertices checked"
     real = padic.multiplier_level
     monkeypatch.setattr(padic, "multiplier_level", lambda inst, n, L: real(inst, n, L) + 1)
-    checks = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
-    first = next(c for c in checks if not c.passed)
-    vertex = first.name.rpartition(" ")[2]
-    assert vertex.startswith("vertex=")
+    checked, failures = source_and_distance_check(inst, 2, 6, tree)
+    assert failures[0] == "vertex=0: distance 2, index exponents [2, 4, 6]"
     failing = source_check()
     assert not failing.passed
+    assert failing.detail == f"{checked} vertices checked, first failure {failures[0]}"
     assert failing.detail == (
-        f"{len(checks)} vertices checked, first failure {vertex}: {first.detail}"
+        "26 vertices checked, first failure vertex=0: distance 2, index exponents [2, 4, 6]"
     )
 
 
