@@ -327,6 +327,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _residue_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def _prime(text: str) -> int:
     value = int(text)
     if not is_prime(value):
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta = sub.add_parser("zeta", help="order zeta numerator/denominator")
     p_zeta.add_argument("--case", required=True, choices=cases)
     p_zeta.add_argument("-n", type=_nonnegative, required=True)
-    p_zeta.add_argument("--q", type=int, default=None)
+    p_zeta.add_argument("--q", type=_residue_size, default=None)
     p_zeta.add_argument("--series-terms", type=_nonnegative, default=None)
     p_zeta.add_argument("--format", choices=["json", "text"], default="text")
     p_zeta.add_argument("--output", default=None)

@@ -31,11 +31,15 @@ apartment case, the BFS oracle is the arbiter of the exact coefficients
 
 from __future__ import annotations
 
+import functools
+
 from .building import BasinKind, BuildingSpec
 from .errors import TruncationInsufficient, UnsupportedHeight
 from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
 from .report import CheckResult
 
+# Entries per closed-form memo (here and in orders): 3 kinds x 41 heights, n <= 40.
+CACHE_SIZE = 128
 _ONE_MINUS_X = ONE - x_pow(1)
 _ONE_MINUS_X2 = ONE - x_pow(2)
 
@@ -59,6 +63,7 @@ def _plateau_q(kind: BasinKind, n: int) -> BiPoly:
     return (q_pow(1) - 1) * q_pow(n - 1)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def layer_genfun_q(kind: BasinKind, n: int) -> RationalFn:
     """Layer generating function from O_n with the branching symbolic."""
     if n < 0:
@@ -70,7 +75,7 @@ def layer_genfun_q(kind: BasinKind, n: int) -> RationalFn:
 
 
 def basin_genfun_q(kind: BasinKind, n: int) -> RationalFn:
-    """Basin generating function from O_n: sum_i X^i * layer(n - i)."""
+    """Basin generating function from O_n: sum_i X^i * layer(n - i), layers memoised."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tail = tail_denominator(kind)

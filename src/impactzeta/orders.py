@@ -27,11 +27,12 @@ ideals are >= 1, and the p-adic enumeration oracle measures them directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .building import BasinKind
 from .errors import ArityMismatch
-from .genfun import layer_genfun_q
+from .genfun import CACHE_SIZE, layer_genfun_q
 from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
 from .report import CheckResult
 
@@ -138,6 +139,7 @@ def zeta_denominator(case: ExtensionCase) -> BiPoly:
     return den
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def principal_zeta(case: ExtensionCase, n: int) -> RationalFn:
     """Exact principal-ideal zeta: low-type sum plus geometric high tail.
 
@@ -169,7 +171,7 @@ class ZetaRecord:
 
 
 def full_zeta(case: ExtensionCase, n: int) -> ZetaRecord:
-    """Full ideal zeta via full(n) = sum_i X^i principal(n - i), cleared by V."""
+    """Full ideal zeta via full(n) = sum_i X^i principal(n - i), memoised, cleared by V."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     principal = principal_zeta(case, n)

@@ -44,7 +44,8 @@ def _report(number: int, label: str, ok: bool):
     assert ok, f"acceptance criterion {number} failed: {label}"
 
 
-def test_acceptance_1_numerator_reproduction():
+def test_acceptance_1_numerator_reproduction(cold_closed_forms):
+    # The fixture empties the closed-form memos, so the clock times real builds.
     start = time.time()
     ok = True
     for case in all_cases():
@@ -59,7 +60,8 @@ def test_acceptance_1_numerator_reproduction():
     _report(1, f"numerator families reproduced symbolically, n <= 8 ({elapsed:.2f}s)", ok)
 
 
-def test_acceptance_2_main_theorem():
+def test_acceptance_2_main_theorem(cold_closed_forms):
+    # The fixture empties the closed-form memos, so the clock times real builds.
     start = time.time()
     ok = True
     for case in all_cases():

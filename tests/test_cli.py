@@ -454,6 +454,16 @@ def test_negative_series_terms_rejected_at_parse_time(capsys, argv):
     assert "argument --series-terms: must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["-3", "0", "1"])
+def test_residue_size_below_two_rejected_at_parse_time(capsys, q):
+    # A residue field has at least 2 elements; q = -3 used to print the
+    # negative "ideal counts" 1 1 -2 -2 and exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--case", "ramified", "-n", "2", "--q", q, "--series-terms", "3"])
+    assert exc.value.code == 2
+    assert f"argument --q: must be >= 2, got {q}" in capsys.readouterr().err
+
+
 def test_verify_arithmetic_zero_bound(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "arithmetic", "--p", "2", "--max-n", "0",

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from impactzeta import orders
+from impactzeta import genfun, orders
 from impactzeta.building import BasinKind
 from impactzeta.errors import ArityMismatch
 from impactzeta.orders import (
@@ -20,6 +20,7 @@ from impactzeta.orders import (
 )
 from impactzeta.poly import ONE, Q, RationalFn, q_pow, series_expand, x_pow
 from impactzeta.report import all_passed
+from impactzeta.suites import identity_suite
 
 RAM = extension_case(BasinKind.RAMIFIED)
 UNRAM = extension_case(BasinKind.UNRAMIFIED)
@@ -142,7 +143,7 @@ def test_recurrence_and_main_theorem():
         assert all_passed(check_main_theorem(case, 8))
 
 
-def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):
+def test_main_theorem_catches_wrong_low_type_counts(cold_closed_forms):
     """The principal zeta is summed from classify_type, so a low-type count
     that is off by a factor q must fail the comparison with the tree side."""
     real = orders.classify_type
@@ -153,7 +154,7 @@ def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):
             return dataclasses.replace(desc, count_expr=desc.count_expr * Q)
         return desc
 
-    monkeypatch.setattr(orders, "classify_type", off_by_q)
+    cold_closed_forms(orders, "classify_type", off_by_q)
     for case in all_cases():
         main = [
             c.passed
@@ -162,6 +163,23 @@ def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):
         ]
         # O_0 has no low types; every O_n with n >= 1 has the type 0.
         assert main == [True, False, False, False, False], case.tag
+
+
+def test_main_theorem_catches_a_wrong_plateau_behind_a_warm_memo(cold_closed_forms):
+    """The layer generating function is built from _plateau_q, so an extra
+    q^7 in the split plateau at n = 7 must fail the main theorem there, even
+    when the layer memo was filled before the plateau went wrong."""
+    assert all_passed(identity_suite(8))
+    assert genfun.layer_genfun_q.cache_info().currsize > 0
+    real = genfun._plateau_q
+
+    def plus_q7(kind, n):
+        extra = q_pow(7) if (kind, n) == (BasinKind.SPLIT, 7) else 0
+        return real(kind, n) + extra
+
+    cold_closed_forms(genfun, "_plateau_q", plus_q7)
+    failed = [c.name for c in check_main_theorem(SPLIT, 8) if not c.passed]
+    assert failed == ["main-theorem split n=7"]
 
 
 def test_full_zeta_equals_basin_genfun():

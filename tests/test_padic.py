@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
@@ -52,7 +54,8 @@ from impactzeta.padic import (
     unit_rep,
 )
 from impactzeta.report import all_passed
-from impactzeta import padic, suites
+import impactzeta
+from impactzeta import genfun, orders, padic, suites
 from impactzeta.suites import arithmetic_suite
 
 RAM = BasinKind.RAMIFIED
@@ -429,20 +432,28 @@ def test_closure_test_matches_the_column_referee(tag, p):
 
 
 def test_caches_are_bounded():
-    # Every lru_cache wrapper defined in padic, at module level or on a
-    # class, keeps at most CACHE_SIZE entries: an unbounded cache fails here.
-    namespaces = [vars(padic)] + [
-        vars(obj) for obj in vars(padic).values() if isinstance(obj, type)
-    ]
-    cached = [
-        obj
-        for ns in namespaces
-        for obj in ns.values()
-        if hasattr(obj, "cache_info") and obj.__module__ == padic.__name__
-    ]
-    assert _enumerate_core in cached
-    assert all(c.cache_info().maxsize == CACHE_SIZE for c in cached)
-    assert isinstance(CACHE_SIZE, int)
+    # Every lru_cache wrapper defined in an impactzeta module, at module level
+    # or on a class, keeps at most its module's CACHE_SIZE entries: an
+    # unbounded cache (maxsize=None) fails here.
+    cached = {}
+    for info in pkgutil.iter_modules(impactzeta.__path__):
+        module = importlib.import_module(f"impactzeta.{info.name}")
+        namespaces = [vars(module)] + [
+            vars(obj) for obj in vars(module).values() if isinstance(obj, type)
+        ]
+        for ns in namespaces:
+            for obj in ns.values():
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    cached[obj] = module
+    assert cached[_enumerate_core] is padic
+    assert cached[orders.principal_zeta] is orders
+    assert cached[genfun.layer_genfun_q] is genfun
+    for fn, module in cached.items():
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None, f"{module.__name__}.{fn.__qualname__} is unbounded"
+        assert isinstance(module.CACHE_SIZE, int)
+        assert maxsize == module.CACHE_SIZE, f"{module.__name__}.{fn.__qualname__}"
+    assert _enumerate_core.cache_info().maxsize == CACHE_SIZE
 
 
 def test_enumerate_series_match(ram3, unram3, split3):
