@@ -110,8 +110,8 @@ def _write(
 
 
 def cmd_zeta(args) -> int:
-    rec = full_zeta(extension_case(_KIND_NAMES[args.case]), args.n)
-    num, den = rec.numerator, rec.denominator
+    zeta = full_zeta(extension_case(_KIND_NAMES[args.case]), args.n)
+    num, den = zeta.num, zeta.den
     head = f"case: {args.case}  n: {args.n}"
     if args.q is not None:
         num, den = num.subs_q(args.q), den.subs_q(args.q)
@@ -207,12 +207,12 @@ def cmd_enumerate(args) -> int:
             "p": args.p,
             "n": n,
             "type": "|".join(map(str, r.type_eps or ())),
-            "contribution": r.index_exponent if r.principal else "",
+            "contribution": r.lattice.index_exponent if r.principal else "",
             "vertex": "" if r.vertex is None else str(r.vertex),
             "distance": "" if r.distance_to_main is None else r.distance_to_main,
             "principal": r.principal,
             "lattice": str(r.lattice),
-            "index_exponent": r.index_exponent,
+            "index_exponent": r.lattice.index_exponent,
             "generator": "" if r.generator is None else str(r.generator),
         }
         for r in records
@@ -257,7 +257,7 @@ def cmd_verify(args) -> int:
     if "arithmetic" in suites:
         primes = {k: tuple(args.p) for k in BasinKind} if args.p else None
         n_max = 2 if args.max_n is None else args.max_n
-        checks.extend(arithmetic_suite(primes, n_max, args.max_contribution))
+        checks.extend(arithmetic_suite(n_max, args.max_contribution, primes))
     passed = sum(1 for c in checks if c.passed)
     text = [
         f"[{'pass' if c.passed else 'FAIL'}] {c.name}"
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("genfun", help="layer/basin generating functions")
     p_gen.add_argument("--basin", required=True, choices=cases)
-    p_gen.add_argument("--m", type=int, required=True)
+    p_gen.add_argument("--m", type=_residue_size, required=True)
     p_gen.add_argument("-n", type=_nonnegative, required=True)
     p_gen.add_argument("--series-terms", type=_nonnegative, default=None)
     p_gen.add_argument("--format", choices=["json", "text"], default="text")
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_counts = sub.add_parser("counts", help="walk-count tables, closed vs oracle")
     p_counts.add_argument("--basin", required=True, choices=cases)
-    p_counts.add_argument("--m", type=int, required=True)
+    p_counts.add_argument("--m", type=_residue_size, required=True)
     p_counts.add_argument("-n", type=_nonnegative, required=True)
     p_counts.add_argument("--max-d", type=_nonnegative, default=10)
     p_counts.add_argument("--format", choices=["json", "csv", "text"], default="text")
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["identities", "oracle", "arithmetic", "all"],
     )
     p_verify.add_argument("--max-n", type=_nonnegative, default=None)
-    p_verify.add_argument("--m", type=int, action="append", default=None)
+    p_verify.add_argument("--m", type=_residue_size, action="append", default=None)
     p_verify.add_argument("--p", type=_prime, action="append", default=None)
     p_verify.add_argument("--max-d", type=_nonnegative, default=12)
     p_verify.add_argument("--max-contribution", type=_nonnegative, default=6)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tree = sub.add_parser("tree", help="truncated tree export")
     p_tree.add_argument("--basin", required=True, choices=cases)
-    p_tree.add_argument("--m", type=int, required=True)
+    p_tree.add_argument("--m", type=_residue_size, required=True)
     p_tree.add_argument("--radius", type=_nonnegative, required=True)
     p_tree.add_argument("--halfwidth", type=_nonnegative, default=None)
     p_tree.add_argument("--format", choices=["dot", "json", "text"], default="text")

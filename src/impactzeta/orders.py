@@ -4,16 +4,18 @@ For a quadratic algebra L/K (unramified or ramified field extension, or the
 split algebra K x K) with residue cardinality q, the orders O_n sit in a
 chain and their ideal zeta functions are rational in X = q^{-s}.  Principal
 ideals are grouped by type: the g-tuple of uniformizer valuations of a
-generator, one per factor of L (a 1-tuple for a field).  Types below the
-threshold t_n occur only along the diagonal d * e_vec; every high type
-occurs, with multiplicity the unit index [O_0^* : O_n^*].  Each type omega
+generator, one per factor of L (a 1-tuple for a field).  classify_type
+returns the count |X_omega| of a type as a polynomial in q: types below the
+threshold t_n occur only along the diagonal d * e_vec, and every high type
+occurs with multiplicity the unit index [O_0^* : O_n^*].  Each type omega
 contributes q^{-c(omega) s} where the contribution c is f * omega, resp.
 omega_1 + omega_2, so the principal zeta function is a finite low-type sum
 plus a geometric high-type tail, and the full zeta function unrolls
 
     full(n) = principal(n) + X * full(n-1).
 
-Cleared against the case denominator V this produces the numerator families
+principal_zeta and full_zeta return these as RationalFn over the case
+denominator V; cleared against V they produce the numerator families
 
     R_n = sum q^k X^{2k},   U_n = (1+X) R_{n-1} + q^n X^{2n},
     S_n = (1-X) R_{n-1} + q^n X^{2n},
@@ -39,12 +41,12 @@ from .report import CheckResult
 
 @dataclass(frozen=True)
 class ExtensionCase:
-    """Case tag with translation vector e, inertia vector f, factor count g."""
+    """Case tag with translation vector e and inertia vector f, one entry
+    per factor of L (so the factor count g is their length)."""
 
     tag: BasinKind
     e_vec: tuple[int, ...]
     f_vec: tuple[int, ...]
-    g: int
 
     def threshold(self, n: int) -> tuple[int, ...]:
         """Componentwise ideal threshold t_n; types below it are low."""
@@ -52,9 +54,9 @@ class ExtensionCase:
 
 
 _CASES = {
-    BasinKind.RAMIFIED: ExtensionCase(BasinKind.RAMIFIED, (2,), (1,), 1),
-    BasinKind.UNRAMIFIED: ExtensionCase(BasinKind.UNRAMIFIED, (1,), (2,), 1),
-    BasinKind.SPLIT: ExtensionCase(BasinKind.SPLIT, (1, 1), (1, 1), 2),
+    BasinKind.RAMIFIED: ExtensionCase(BasinKind.RAMIFIED, (2,), (1,)),
+    BasinKind.UNRAMIFIED: ExtensionCase(BasinKind.UNRAMIFIED, (1,), (2,)),
+    BasinKind.SPLIT: ExtensionCase(BasinKind.SPLIT, (1, 1), (1, 1)),
 }
 
 
@@ -68,8 +70,8 @@ def all_cases() -> list[ExtensionCase]:
 
 def normalize_type(case: ExtensionCase, omega: tuple[int, ...]) -> tuple[int, ...]:
     vec = tuple(omega)
-    if len(vec) != case.g:
-        raise ArityMismatch(f"{case.tag.value} types have {case.g} component(s)")
+    if len(vec) != len(case.f_vec):
+        raise ArityMismatch(f"{case.tag.value} types have {len(case.f_vec)} component(s)")
     if any(w < 0 for w in vec):
         raise ValueError("type components must be nonnegative")
     return vec
@@ -97,38 +99,19 @@ def unit_index(case: ExtensionCase, n: int) -> BiPoly:
     return exact_div(units, Q - 1)
 
 
-@dataclass(frozen=True)
-class TypeDescriptor:
-    """Classification of one possible type against the order O_n."""
+def classify_type(case: ExtensionCase, n: int, omega: tuple[int, ...]) -> BiPoly:
+    """|X_omega|, the number of principal ideals of O_n of type omega, in q.
 
-    omega: tuple[int, ...]
-    n: int
-    is_low: bool
-    occurs: bool
-    count_expr: BiPoly
-    contribution: int
-
-
-def classify_type(case: ExtensionCase, n: int, omega: tuple[int, ...]) -> TypeDescriptor:
-    """Low/high split, occurrence, and |X_omega| for a possible type.
-
-    Low types occur only at omega = d * e_vec (0 <= d < n) with count
-    [O_{n-d}^* : O_n^*] = q^d, since each step O_k^*/O_{k+1}^* (k >= 1) has
-    order q (the slope map); every high type occurs with count [O_0^* : O_n^*].
+    Low types (some component below t_n) occur only at omega = d * e_vec
+    (0 <= d < n) with count [O_{n-d}^* : O_n^*] = q^d, since each step
+    O_k^*/O_{k+1}^* (k >= 1) has order q (the slope map); every other low
+    type has count 0.  Every high type has count [O_0^* : O_n^*].
     """
     vec = normalize_type(case, omega)
-    thr = case.threshold(n)
-    is_low = any(w < t for w, t in zip(vec, thr))
-    c = contribution(case, vec)
-    if not is_low:
-        return TypeDescriptor(vec, n, False, True, unit_index(case, n), c)
-    e = case.e_vec
-    diagonal = all(w % e_i == 0 for w, e_i in zip(vec, e)) and len(
-        {w // e_i for w, e_i in zip(vec, e)}
-    ) == 1
-    if not diagonal:
-        return TypeDescriptor(vec, n, True, False, BiPoly(), c)
-    return TypeDescriptor(vec, n, True, True, q_pow(vec[0] // e[0]), c)
+    if all(w >= t for w, t in zip(vec, case.threshold(n))):
+        return unit_index(case, n)
+    d = vec[0] // case.e_vec[0]
+    return q_pow(d) if vec == tuple(d * e for e in case.e_vec) else BiPoly()
 
 
 def zeta_denominator(case: ExtensionCase) -> BiPoly:
@@ -152,26 +135,19 @@ def principal_zeta(case: ExtensionCase, n: int) -> RationalFn:
     den = zeta_denominator(case)
     low = []
     for d in range(n):
-        desc = classify_type(case, n, tuple(d * e for e in case.e_vec))
-        c = desc.contribution
-        low.extend((qe, xe + c, coeff) for qe, xe, coeff in desc.count_expr.terms)
-    high = classify_type(case, n, case.threshold(n))
-    num = BiPoly(tuple(low)) * den + high.count_expr * x_pow(high.contribution)
+        omega = tuple(d * e for e in case.e_vec)
+        c = contribution(case, omega)
+        low.extend((qe, xe + c, coeff) for qe, xe, coeff in classify_type(case, n, omega).terms)
+    top = case.threshold(n)
+    num = BiPoly(tuple(low)) * den + classify_type(case, n, top) * x_pow(contribution(case, top))
     return RationalFn(num, den)
 
 
-@dataclass(frozen=True)
-class ZetaRecord:
-    case: ExtensionCase
-    n: int
-    principal: RationalFn
-    full: RationalFn
-    numerator: BiPoly
-    denominator: BiPoly
+def full_zeta(case: ExtensionCase, n: int) -> RationalFn:
+    """The full ideal zeta of O_n, over V: full(n) = sum_i X^i principal(n - i).
 
-
-def full_zeta(case: ExtensionCase, n: int) -> ZetaRecord:
-    """Full ideal zeta via full(n) = sum_i X^i principal(n - i), memoised, cleared by V."""
+    Each summand comes from the principal_zeta memo; the sum is not memoised.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     principal = principal_zeta(case, n)
@@ -179,8 +155,7 @@ def full_zeta(case: ExtensionCase, n: int) -> ZetaRecord:
         (x_pow(i) * principal_zeta(case, n - i).num for i in range(1, n + 1)),
         principal.num,
     )
-    V = principal.den
-    return ZetaRecord(case, n, principal, RationalFn(num, V), num, V)
+    return RationalFn(num, principal.den)
 
 
 def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:
@@ -204,12 +179,12 @@ def check_zeta_recurrence(case: ExtensionCase, n_max: int) -> list[CheckResult]:
     results = []
     prev = full_zeta(case, 0)
     for n in range(1, n_max + 1):
-        rec = full_zeta(case, n)
-        rhs = rec.principal + x_pow(1) * prev.full
+        full = full_zeta(case, n)
+        rhs = principal_zeta(case, n) + x_pow(1) * prev
         results.append(
-            CheckResult(f"zeta-recurrence {case.tag.value} n={n}", rec.full == rhs)
+            CheckResult(f"zeta-recurrence {case.tag.value} n={n}", full == rhs)
         )
-        prev = rec
+        prev = full
     return results
 
 
@@ -219,12 +194,11 @@ def check_main_theorem(case: ExtensionCase, n_max: int) -> list[CheckResult]:
     numerator family."""
     results = []
     for n in range(n_max + 1):
-        rec = full_zeta(case, n)
-        ok_main = rec.principal == layer_genfun_q(case.tag, n)
+        ok_main = principal_zeta(case, n) == layer_genfun_q(case.tag, n)
         results.append(
             CheckResult(f"main-theorem {case.tag.value} n={n}", ok_main)
         )
-        ok_num = rec.numerator == numerator_poly(case, n)
+        ok_num = full_zeta(case, n).num == numerator_poly(case, n)
         results.append(
             CheckResult(f"numerator {case.tag.value} n={n}", ok_num)
         )
@@ -233,7 +207,7 @@ def check_main_theorem(case: ExtensionCase, n_max: int) -> list[CheckResult]:
 
 def ideal_count_series(case: ExtensionCase, n: int, degree: int, q0: int) -> list[int]:
     """Ideal counts of O_n by index exponent, at a concrete residue size q0."""
-    return series_expand(full_zeta(case, n).full, degree).at_q(q0)
+    return series_expand(full_zeta(case, n), degree).at_q(q0)
 
 
 def principal_count_series(

@@ -433,7 +433,6 @@ class IdealRecord:
     """One enumerated finite-index ideal of O_n (in the O_n basis)."""
 
     lattice: LatticeHNF
-    index_exponent: int
     principal: bool
     generator: Optional[QuadElem] = None
     type_eps: Optional[tuple[int, ...]] = None
@@ -558,7 +557,7 @@ def _enumerate_core(
                 L = tuple.__new__(LatticeHNF, (p, a, c, b))
                 coords = _find_generator(inst, n, L)
                 if coords is None:
-                    records.append(IdealRecord(L, k, principal=False))
+                    records.append(IdealRecord(L, principal=False))
                     continue
                 u, v = coords
                 gen = QuadElem(inst, u, p**n * v)
@@ -567,7 +566,7 @@ def _enumerate_core(
                 dist = lattice_distance(inst, _ideal_class(inst, n, L), on_class)
                 records.append(
                     IdealRecord(
-                        L, k, principal=True, generator=gen, type_eps=eps, distance_to_main=dist
+                        L, principal=True, generator=gen, type_eps=eps, distance_to_main=dist
                     )
                 )
     return tuple(records)
@@ -671,7 +670,7 @@ def source_and_distance_check(
         if dist > max_contribution and not group:
             continue
         checked += 1
-        exponents = sorted(r.index_exponent for r in group)
+        exponents = sorted(r.lattice.index_exponent for r in group)
         if not (
             exponents == list(range(dist, max_contribution + 1, 2))
             and all(multiplier_level(inst, n, r.lattice) == v.height for r in group)

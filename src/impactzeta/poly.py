@@ -246,18 +246,12 @@ class RationalFn:
 class SeriesPrefix:
     """Coefficients of X^0..X^D of a power series, each a polynomial in q."""
 
-    truncation_degree: int
     coefficients: tuple[BiPoly, ...]
 
     def __post_init__(self):
-        if len(self.coefficients) != self.truncation_degree + 1:
-            raise ValueError("coefficient list must have length D + 1")
         for c in self.coefficients:
             if any(xe != 0 for _, xe, _ in c.terms):
                 raise ValueError("series coefficients must be polynomials in q")
-
-    def __getitem__(self, k: int) -> BiPoly:
-        return self.coefficients[k]
 
     def at_q(self, q0: int) -> list[int]:
         return [c.subs_q(q0).as_int() for c in self.coefficients]
@@ -286,4 +280,4 @@ def series_expand(f: RationalFn, degree: int) -> SeriesPrefix:
                 break
             s = s - dj * coeffs[k - j]
         coeffs.append(s)
-    return SeriesPrefix(degree, tuple(coeffs))
+    return SeriesPrefix(tuple(coeffs))

@@ -68,7 +68,7 @@ DEFAULT_PRIMES = {
 }
 
 
-def identity_suite(n_max: int = 8) -> list[CheckResult]:
+def identity_suite(n_max: int) -> list[CheckResult]:
     results: list[CheckResult] = []
     for case in all_cases():
         results.extend(check_main_theorem(case, n_max))
@@ -79,9 +79,7 @@ def identity_suite(n_max: int = 8) -> list[CheckResult]:
     return results
 
 
-def oracle_suite(
-    ms: Iterable[int] = (2, 3), n_max: int = 5, d_max: int = 12
-) -> list[CheckResult]:
+def oracle_suite(ms: Iterable[int], n_max: int, d_max: int) -> list[CheckResult]:
     sources = [(BuildingSpec(k, m), n) for k, m, n in product(ALL_KINDS, ms, range(n_max + 1))]
     # Every BFS runs before any closed form is expanded, so a size whose
     # profile meets the state cap fails before the long series expansions.
@@ -132,7 +130,7 @@ def _possible_types(case, bound: int):
     """Type vectors (g-tuples) with contribution at most the bound."""
     return [
         omega
-        for omega in product(range(bound + 1), repeat=case.g)
+        for omega in product(range(bound + 1), repeat=len(case.f_vec))
         if contribution(case, omega) <= bound
     ]
 
@@ -148,9 +146,9 @@ def arithmetic_tree(inst, n: int, d_bound: int):
 
 
 def arithmetic_suite(
+    n_max: int,
+    d_bound: int,
     primes: Optional[dict[BasinKind, tuple[int, ...]]] = None,
-    n_max: int = 2,
-    d_bound: int = 6,
 ) -> list[CheckResult]:
     primes = primes or DEFAULT_PRIMES
     results: list[CheckResult] = []
@@ -176,10 +174,10 @@ def arithmetic_suite(
                 # (b) type histogram against the counting rules, and the
                 # contribution of each type against the index exponent.
                 histogram = Counter(r.type_eps for r in principal)
-                predicted = {}
-                for omega in _possible_types(case, d_bound):
-                    desc = classify_type(case, n, omega)
-                    predicted[omega] = desc.count_expr.subs_q(p).as_int() if desc.occurs else 0
+                predicted = {
+                    omega: classify_type(case, n, omega).subs_q(p).as_int()
+                    for omega in _possible_types(case, d_bound)
+                }
                 # Types outside the grid come last, with a prediction of 0.
                 wrong = [
                     f"type {omega}: {histogram[omega]} enumerated, "
@@ -187,9 +185,9 @@ def arithmetic_suite(
                     for omega in {**predicted, **histogram}
                     if histogram[omega] != predicted.get(omega, 0)
                 ] + [
-                    f"type {r.type_eps}: contribution {c}, index exponent {r.index_exponent}"
+                    f"type {r.type_eps}: contribution {c}, index exponent {k}"
                     for r in principal
-                    if (c := contribution(case, r.type_eps)) != r.index_exponent
+                    if (c := contribution(case, r.type_eps)) != (k := r.lattice.index_exponent)
                 ]
                 results.append(
                     CheckResult(
@@ -201,7 +199,7 @@ def arithmetic_suite(
                     ("principal-series", principal, principal_count_series(case, n, d_bound, p)),
                     ("ideal-series", records, ideal_count_series(case, n, d_bound, p)),
                 ):
-                    by_index = Counter(r.index_exponent for r in members)
+                    by_index = Counter(r.lattice.index_exponent for r in members)
                     results.append(
                         CheckResult(
                             f"{check} {label} n={n}",

@@ -51,10 +51,10 @@ def test_acceptance_1_numerator_reproduction(cold_closed_forms):
     for case in all_cases():
         V = zeta_denominator(case)
         for n in range(9):
-            rec = full_zeta(case, n)
+            full = full_zeta(case, n)
             expected = numerator_poly(case, n)
-            ok = ok and rec.numerator == expected
-            ok = ok and rec.full == RationalFn(expected, V)
+            ok = ok and full.num == expected
+            ok = ok and full == RationalFn(expected, V)
     elapsed = time.time() - start
     ok = ok and elapsed < 1.0
     _report(1, f"numerator families reproduced symbolically, n <= 8 ({elapsed:.2f}s)", ok)

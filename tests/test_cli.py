@@ -76,7 +76,7 @@ def test_deterministic_output(capsys):
 def test_json_polynomial_roundtrip():
     for case in all_cases():
         for n in range(4):
-            num = full_zeta(case, n).numerator
+            num = full_zeta(case, n).num
             assert poly_from_json(poly_to_json(num)) == num
     big = 10**30 * Q * x_pow(2) + ONE - q_pow(5)
     assert poly_from_json(poly_to_json(big)) == big
@@ -454,14 +454,44 @@ def test_negative_series_terms_rejected_at_parse_time(capsys, argv):
     assert "argument --series-terms: must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("q", ["-3", "0", "1"])
-def test_residue_size_below_two_rejected_at_parse_time(capsys, q):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(
+            ["zeta", "--case", "ramified", "-n", "2", "--q", q, "--series-terms", "3"],
+            "--q",
+            id=q,
+        )
+        for q in ("-3", "0", "1")
+    ]
+    + [
+        pytest.param(["genfun", "--basin", "split", "--m", "1", "-n", "2"], "--m", id="genfun"),
+        pytest.param(["counts", "--basin", "split", "--m", "1", "-n", "2"], "--m", id="counts"),
+        pytest.param(["tree", "--basin", "split", "--m", "1", "--radius", "2"], "--m", id="tree"),
+        pytest.param(
+            ["verify", "--suite", "oracle", "--m", "1", "--max-n", "1"], "--m", id="verify-oracle"
+        ),
+        pytest.param(
+            ["verify", "--suite", "identities", "--m", "1", "--max-n", "1"],
+            "--m",
+            id="verify-identities",
+        ),
+        pytest.param(
+            ["verify", "--suite", "arithmetic", "--m", "0", "--max-n", "0"],
+            "--m",
+            id="verify-arithmetic",
+        ),
+    ],
+)
+def test_residue_size_below_two_rejected_at_parse_time(capsys, argv, flag):
     # A residue field has at least 2 elements; q = -3 used to print the
-    # negative "ideal counts" 1 1 -2 -2 and exit 0.
+    # negative "ideal counts" 1 1 -2 -2 and exit 0, and verify accepted
+    # --m 1 for the suites that do not read it.
+    value = argv[argv.index(flag) + 1]
     with pytest.raises(SystemExit) as exc:
-        main(["zeta", "--case", "ramified", "-n", "2", "--q", q, "--series-terms", "3"])
+        main(argv)
     assert exc.value.code == 2
-    assert f"argument --q: must be >= 2, got {q}" in capsys.readouterr().err
+    assert f"argument {flag}: must be >= 2, got {value}" in capsys.readouterr().err
 
 
 def test_verify_arithmetic_zero_bound(capsys):

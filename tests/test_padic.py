@@ -379,7 +379,7 @@ def test_enumerate_histogram_split(split3):
 def test_enumerate_histogram_unramified():
     inst = make_case(UNRAM, 5)
     records = enumerate_ideals(inst, 1, 2)
-    by_c = Counter(r.index_exponent for r in records if r.principal)
+    by_c = Counter(r.lattice.index_exponent for r in records if r.principal)
     assert by_c == {0: 1, 2: 6}
 
 
@@ -461,7 +461,7 @@ def test_enumerate_series_match(ram3, unram3, split3):
         case = extension_case(inst.tag)
         for n in range(2):
             records = enumerate_ideals(inst, n, 5)
-            by_c = Counter(r.index_exponent for r in records if r.principal)
+            by_c = Counter(r.lattice.index_exponent for r in records if r.principal)
             series = principal_count_series(case, n, 5, inst.p)
             assert [by_c.get(d, 0) for d in range(6)] == series
 
@@ -539,7 +539,7 @@ def test_generator_search_proves_non_principal(ram3):
 def test_vertex_layer_reach_at_n3():
     # Layer-3 vertices of the finite ramified basin lie up to distance 7 from
     # the way out, beyond the bound 6; only the reachable ones must appear.
-    results = arithmetic_suite({RAM: (2,)}, n_max=3, d_bound=6)
+    results = arithmetic_suite(3, 6, {RAM: (2,)})
     names = {r.name for r in results}
     assert "vertex-layer ramified p=2 n=3" in names
     assert "principal-deciders ramified p=2 n=3" in names
@@ -554,7 +554,7 @@ def test_type_histogram_fails_on_a_type_outside_the_grid(monkeypatch):
         return records + [dataclasses.replace(stray, type_eps=(99,))]
 
     monkeypatch.setattr(suites, "enumerate_ideals", with_stray_type)
-    results = arithmetic_suite({RAM: (3,)}, 1, 4)
+    results = arithmetic_suite(1, 4, {RAM: (3,)})
     histogram = [r for r in results if r.name.startswith("type-histogram ramified p=3")]
     assert len(histogram) == 2
     assert not any(r.passed for r in histogram)
@@ -569,7 +569,7 @@ def test_a_reducible_delta_at_p2_does_not_pass(monkeypatch):
     # reproduce the unramified counts.
     monkeypatch.setattr(suites, "make_case", lambda tag, p: CaseInstance(tag, p, tau=1, delta=0))
     try:
-        results = arithmetic_suite({UNRAM: (2,)}, 2, 6)
+        results = arithmetic_suite(2, 6, {UNRAM: (2,)})
     except ImpactZetaError:
         return
     assert not all_passed(results)
@@ -722,7 +722,7 @@ def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
     name = "source-distance ramified p=3 n=2"
 
     def source_check():
-        return next(r for r in arithmetic_suite({RAM: (3,)}, 2, 6) if r.name == name)
+        return next(r for r in arithmetic_suite(2, 6, {RAM: (3,)}) if r.name == name)
 
     tree = suites.arithmetic_tree(inst, 2, 6)
     checked, failures = source_and_distance_check(inst, 2, 6, tree)
@@ -748,7 +748,7 @@ def test_unramified_distance_two_sources(unram3):
         if r.principal and r.vertex != target:
             assert r.distance_to_main == 2
             assert min(
-                x.index_exponent
+                x.lattice.index_exponent
                 for x in records
                 if x.principal and x.vertex == r.vertex
             ) == 2

@@ -83,3 +83,54 @@ def unreferenced_public_names() -> set[str]:
 
 def test_no_public_name_exists_only_for_tests():
     assert unreferenced_public_names() == set(REFEREES)
+
+
+def _attribute_reads(node, skip=None) -> set[str]:
+    """Names read as ``x.name`` anywhere under ``node``, leaving out ``skip``."""
+    out = set()
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(sub))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+    return out
+
+
+def unread_fields() -> set[str]:
+    """Annotated class fields of ``src/impactzeta`` that nothing reads.
+
+    A field is read when ``x.field`` is loaded somewhere in ``src`` or in a
+    ``bench/*.py`` script outside the body of the class that declares it.
+    A field that only its own methods or the tests read is a second copy
+    of a datum the program keeps elsewhere, or derives.
+
+    Blind spot: reads are matched by attribute name alone, so a field whose
+    name another object also has (``args.n`` reads as any field ``n``)
+    always counts as read.
+    """
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    bench = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        bench |= _attribute_reads(_parse(path))
+    unread = set()
+    for name, module in modules.items():
+        elsewhere = set(bench)
+        for other, tree in modules.items():
+            if other != name:
+                elsewhere |= _attribute_reads(tree)
+        for cls in module.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            read = elsewhere | _attribute_reads(module, skip=cls)
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if stmt.target.id not in read:
+                        unread.add(f"{cls.name}.{stmt.target.id}")
+    return unread
+
+
+def test_no_record_field_goes_unread():
+    assert unread_fields() == set()

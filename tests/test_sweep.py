@@ -74,5 +74,5 @@ def test_counts_on_a_finite_basin_inside_the_30s_gate(capsys):
 def test_arithmetic_suite_holds_for_every_small_size(kind, p):
     for n in range(3):
         for bound in range(7):
-            results = arithmetic_suite({kind: (p,)}, n, bound)
+            results = arithmetic_suite(n, bound, {kind: (p,)})
             assert results and not _failures(results), (n, bound, _failures(results))
