@@ -69,21 +69,19 @@ def layer_genfun_q(kind: BasinKind, n: int) -> RationalFn:
     if n < 0:
         raise ValueError("n must be nonnegative")
     tail = tail_denominator(kind)
-    low = sum((q_pow(k) * x_pow(2 * k) for k in range(n)), BiPoly())
+    low = BiPoly(tuple((k, 2 * k, 1) for k in range(n)))
     num = low * tail + _plateau_q(kind, n) * x_pow(2 * n)
     return RationalFn(num, tail)
 
 
 def basin_genfun_q(kind: BasinKind, n: int) -> RationalFn:
-    """Basin generating function from O_n: sum_i X^i * layer(n - i), layers memoised."""
+    """Basin generating function from O_n: sum_i X^i * layer(n - i), one term
+    list of shifted memoised layer numerators, canonicalised once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tail = tail_denominator(kind)
-    num = sum(
-        (x_pow(i) * layer_genfun_q(kind, n - i).num for i in range(n + 1)),
-        BiPoly(),
-    )
-    return RationalFn(num, tail)
+    layers = [layer_genfun_q(kind, n - i) for i in range(n + 1)]
+    shifted = ((qe, xe + i, c) for i, f in enumerate(layers) for qe, xe, c in f.num.terms)
+    return RationalFn(BiPoly(tuple(shifted)), layers[0].den)
 
 
 def layer_genfun(spec: BuildingSpec, n: int) -> RationalFn:
@@ -101,6 +99,8 @@ def geodesic_genfun_q(kind: BasinKind, n: int, which: str = "layer") -> Rational
     case.  The reduction is done by exact division, so a failed identity
     raises rather than returning an unreduced ratio.
     """
+    if which not in ("layer", "basin"):
+        raise ValueError(f"which must be 'layer' or 'basin', got {which!r}")
     f = layer_genfun_q(kind, n) if which == "layer" else basin_genfun_q(kind, n)
     num2 = _ONE_MINUS_X2 * f.num
     if kind is BasinKind.SPLIT:

@@ -144,18 +144,13 @@ def principal_zeta(case: ExtensionCase, n: int) -> RationalFn:
 
 
 def full_zeta(case: ExtensionCase, n: int) -> RationalFn:
-    """The full ideal zeta of O_n, over V: full(n) = sum_i X^i principal(n - i).
-
-    Each summand comes from the principal_zeta memo; the sum is not memoised.
-    """
+    """The full ideal zeta of O_n, over V: full(n) = sum_i X^i principal(n - i),
+    one term list of shifted memoised principal numerators, canonicalised once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    principal = principal_zeta(case, n)
-    num = sum(
-        (x_pow(i) * principal_zeta(case, n - i).num for i in range(1, n + 1)),
-        principal.num,
-    )
-    return RationalFn(num, principal.den)
+    principals = [principal_zeta(case, n - i) for i in range(n + 1)]
+    shifted = ((qe, xe + i, c) for i, f in enumerate(principals) for qe, xe, c in f.num.terms)
+    return RationalFn(BiPoly(tuple(shifted)), principals[0].den)
 
 
 def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:
@@ -164,7 +159,7 @@ def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:
         raise ValueError("n must be nonnegative")
 
     def r_poly(k: int) -> BiPoly:
-        return sum((q_pow(j) * x_pow(2 * j) for j in range(k + 1)), BiPoly())
+        return BiPoly(tuple((j, 2 * j, 1) for j in range(k + 1)))
 
     if case.tag is BasinKind.RAMIFIED:
         return r_poly(n)

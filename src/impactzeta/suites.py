@@ -112,7 +112,7 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
         )
         ram_basin = basin_genfun_q(BasinKind.RAMIFIED, n).subs_q(1)
         expected_basin = RationalFn(
-            sum((x_pow(2 * k) for k in range(n + 1)), BiPoly()), one_minus_x
+            BiPoly(tuple((0, 2 * k, 1) for k in range(n + 1))), one_minus_x
         )
         results.append(
             CheckResult(f"line ramified basin n={n}", ram_basin == expected_basin)
@@ -150,7 +150,7 @@ def arithmetic_suite(
     d_bound: int,
     primes: Optional[dict[BasinKind, tuple[int, ...]]] = None,
 ) -> list[CheckResult]:
-    primes = primes or DEFAULT_PRIMES
+    primes = DEFAULT_PRIMES if primes is None else primes
     results: list[CheckResult] = []
     for kind in ALL_KINDS:
         case = extension_case(kind)

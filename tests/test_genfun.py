@@ -223,6 +223,12 @@ def test_geodesic_examples():
     assert basin_geodesic.num == ONE + x_pow(1) + 2 * x_pow(2)
 
 
+@pytest.mark.parametrize("which", ["Layer", ""])
+def test_geodesic_rejects_unknown_flavor(which):
+    with pytest.raises(ValueError, match="which must be 'layer' or 'basin'"):
+        geodesic_genfun_q(UNRAM, 2, which)
+
+
 def test_geodesic_relation_symbolic():
     for kind in (UNRAM, RAM, SPLIT):
         assert all_passed(check_geodesic_q(kind, 8))

@@ -546,6 +546,11 @@ def test_vertex_layer_reach_at_n3():
     assert all_passed(results), [r.name for r in results if not r.passed]
 
 
+def test_an_empty_prime_grid_runs_no_checks():
+    # An empty mapping means "no primes", not "the default grid".
+    assert arithmetic_suite(1, 3, {}) == []
+
+
 def test_type_histogram_fails_on_a_type_outside_the_grid(monkeypatch):
     # A principal record whose type no counting rule predicts must not pass.
     def with_stray_type(*args, **kwargs):
