@@ -297,10 +297,6 @@ def distance(tree: TruncatedTree, u: VertexAddr, v: VertexAddr) -> int:
     return len(u.word) + len(v.word) + sep
 
 
-def bfs_distance(tree: TruncatedTree, u: VertexAddr, v: VertexAddr) -> int:
-    return tree.bfs_distances(u)[v]
-
-
 def layer_members(tree: TruncatedTree, n: int) -> frozenset[VertexAddr]:
     """All truncation vertices of height exactly n."""
     if n > tree.radius:

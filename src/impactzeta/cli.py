@@ -135,12 +135,9 @@ def cmd_zeta(args) -> int:
 
 def cmd_genfun(args) -> int:
     spec = BuildingSpec(_KIND_NAMES[args.basin], args.m)
-    functions = {
-        "layer": layer_genfun(spec, args.n),
-        "basin": basin_genfun(spec, args.n),
-        "layer_geodesic": geodesic_genfun_q(spec.kind, args.n, "layer").subs_q(spec.m),
-        "basin_geodesic": geodesic_genfun_q(spec.kind, args.n, "basin").subs_q(spec.m),
-    }
+    functions = {"layer": layer_genfun(spec, args.n), "basin": basin_genfun(spec, args.n)}
+    for key, f in list(functions.items()):
+        functions[f"{key}_geodesic"] = geodesic_genfun_q(spec.kind, f)
     results = {
         key: {"numerator": poly_to_json(f.num), "denominator": poly_to_json(f.den)}
         for key, f in functions.items()

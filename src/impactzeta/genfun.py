@@ -38,7 +38,7 @@ from .errors import TruncationInsufficient, UnsupportedHeight
 from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
 from .report import CheckResult
 
-# Entries per closed-form memo (here and in orders): 3 kinds x 41 heights, n <= 40.
+# Entries in the layer_genfun_q memo: 3 kinds x 41 heights, n <= 40.
 CACHE_SIZE = 128
 _ONE_MINUS_X = ONE - x_pow(1)
 _ONE_MINUS_X2 = ONE - x_pow(2)
@@ -92,20 +92,17 @@ def basin_genfun(spec: BuildingSpec, n: int) -> RationalFn:
     return basin_genfun_q(spec.kind, n).subs_q(spec.m)
 
 
-def geodesic_genfun_q(kind: BasinKind, n: int, which: str = "layer") -> RationalFn:
-    """Geodesic flavor: (1 - X^2) times the walk generating function.
+def geodesic_genfun_q(kind: BasinKind, walk: RationalFn) -> RationalFn:
+    """Geodesic flavor: (1 - X^2) times the layer or basin function ``walk``.
 
     A polynomial for the finite basins; denominator (1 - X) in the split
     case.  The reduction is done by exact division, so a failed identity
     raises rather than returning an unreduced ratio.
     """
-    if which not in ("layer", "basin"):
-        raise ValueError(f"which must be 'layer' or 'basin', got {which!r}")
-    f = layer_genfun_q(kind, n) if which == "layer" else basin_genfun_q(kind, n)
-    num2 = _ONE_MINUS_X2 * f.num
+    num2 = _ONE_MINUS_X2 * walk.num
     if kind is BasinKind.SPLIT:
         return RationalFn(exact_div(num2, _ONE_MINUS_X), _ONE_MINUS_X)
-    return RationalFn(exact_div(num2, f.den), ONE)
+    return RationalFn(exact_div(num2, walk.den), ONE)
 
 
 def reachable_count_closed(spec: BuildingSpec, n: int, d: int) -> int:
@@ -156,29 +153,30 @@ def reachable_count_oracle(
     return _running[1][which == "basin"][d]
 
 
-def check_recurrence_q(kind: BasinKind, n_max: int) -> list[CheckResult]:
-    """Verify basin(n) = layer(n) + X * basin(n-1) for 1 <= n <= n_max, symbolically."""
+def check_recurrence_q(
+    kind: BasinKind, layers: list[RationalFn], basins: list[RationalFn]
+) -> list[CheckResult]:
+    """Verify basin(n) = layer(n) + X * basin(n-1) symbolically for n >= 1, where
+    layers[n] and basins[n] are the functions from O_n.  Unequal lengths raise ValueError."""
     results = []
-    for n in range(1, n_max + 1):
-        lhs = basin_genfun_q(kind, n)
-        rhs = layer_genfun_q(kind, n) + x_pow(1) * basin_genfun_q(kind, n - 1)
-        results.append(
-            CheckResult(f"basin-recurrence {kind.value} symbolic n={n}", lhs == rhs)
-        )
+    for n, (layer, basin) in enumerate(zip(layers, basins, strict=True)):
+        if n:
+            ok = basin == layer + x_pow(1) * basins[n - 1]
+            results.append(CheckResult(f"basin-recurrence {kind.value} symbolic n={n}", ok))
     return results
 
 
-def check_geodesic_q(kind: BasinKind, n_max: int) -> list[CheckResult]:
-    """Verify zeta = geodesic-zeta / (1 - X^2) for both flavors, symbolically."""
+def check_geodesic_q(
+    kind: BasinKind, layers: list[RationalFn], basins: list[RationalFn]
+) -> list[CheckResult]:
+    """Verify zeta = geodesic-zeta / (1 - X^2) for both flavors symbolically, where
+    layers[n] and basins[n] are the functions from O_n.  Unequal lengths raise ValueError."""
     results = []
-    for n in range(n_max + 1):
-        for which in ("layer", "basin"):
-            walk = layer_genfun_q(kind, n) if which == "layer" else basin_genfun_q(kind, n)
-            geo = geodesic_genfun_q(kind, n, which)
+    for n, walks in enumerate(zip(layers, basins, strict=True)):
+        for which, walk in zip(("layer", "basin"), walks):
+            geo = geodesic_genfun_q(kind, walk)
             ok = walk == RationalFn(geo.num, geo.den * _ONE_MINUS_X2)
-            results.append(
-                CheckResult(f"geodesic {kind.value} {which} n={n}", ok)
-            )
+            results.append(CheckResult(f"geodesic {kind.value} {which} n={n}", ok))
     return results
 
 

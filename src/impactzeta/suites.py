@@ -4,7 +4,9 @@ Three suites:
 
 * identities: symbolic checks (numerator families, the correspondence
   between principal zeta and layer generating functions, both recurrences,
-  the geodesic relation).
+  the geodesic relation).  The suite builds each closed form once and
+  hands the values to the check functions of ``orders`` and ``genfun``,
+  which only compare them.
 * oracle: height-pruned BFS counts against the closed forms.
 * arithmetic: the p-adic enumeration oracle against the type-counting
   results (unit indices, type histograms and contributions, principal and
@@ -44,6 +46,7 @@ from .orders import (
     classify_type,
     contribution,
     extension_case,
+    full_zeta,
     ideal_count_series,
     principal_count_series,
     unit_index,
@@ -69,13 +72,17 @@ DEFAULT_PRIMES = {
 
 
 def identity_suite(n_max: int) -> list[CheckResult]:
+    heights = range(n_max + 1)
+    layers = {kind: [layer_genfun_q(kind, n) for n in heights] for kind in ALL_KINDS}
     results: list[CheckResult] = []
     for case in all_cases():
-        results.extend(check_main_theorem(case, n_max))
-        results.extend(check_zeta_recurrence(case, n_max))
+        fulls = [full_zeta(case, n) for n in heights]
+        results.extend(check_main_theorem(case, fulls, layers[case.tag]))
+        results.extend(check_zeta_recurrence(case, fulls))
     for kind in ALL_KINDS:
-        results.extend(check_recurrence_q(kind, n_max))
-        results.extend(check_geodesic_q(kind, n_max))
+        basins = [basin_genfun_q(kind, n) for n in heights]
+        results.extend(check_recurrence_q(kind, layers[kind], basins))
+        results.extend(check_geodesic_q(kind, layers[kind], basins))
     return results
 
 

@@ -75,9 +75,12 @@ def test_acceptance_2_main_theorem(cold_closed_forms):
 def test_acceptance_3_both_recurrences():
     ok = True
     for case in all_cases():
-        ok = ok and all_passed(check_zeta_recurrence(case, 8))
+        fulls = [full_zeta(case, n) for n in range(9)]
+        ok = ok and all_passed(check_zeta_recurrence(case, fulls))
     for kind in ALL_KINDS:
-        ok = ok and all_passed(check_recurrence_q(kind, 8))
+        layers = [layer_genfun_q(kind, n) for n in range(9)]
+        basins = [basin_genfun_q(kind, n) for n in range(9)]
+        ok = ok and all_passed(check_recurrence_q(kind, layers, basins))
     # Numeric spot checks on top of the symbolic form.
     for kind, m in product(ALL_KINDS, (2, 3)):
         spec = BuildingSpec(kind, m)
@@ -93,13 +96,8 @@ def test_acceptance_4_geodesic_relation():
     ok = True
     for kind in ALL_KINDS:
         for n in range(9):
-            for which in ("layer", "basin"):
-                walk = (
-                    layer_genfun_q(kind, n)
-                    if which == "layer"
-                    else basin_genfun_q(kind, n)
-                )
-                geo = geodesic_genfun_q(kind, n, which)
+            for walk in (layer_genfun_q(kind, n), basin_genfun_q(kind, n)):
+                geo = geodesic_genfun_q(kind, walk)
                 ok = ok and walk == RationalFn(geo.num, geo.den * one_minus_x2)
     _report(4, "walk flavor = geodesic flavor / (1 - X^2), n <= 8", ok)
 

@@ -8,7 +8,6 @@ from impactzeta.building import (
     BasinKind,
     BuildingSpec,
     VertexAddr,
-    bfs_distance,
     build_line_tree,
     build_truncated,
     distance,
@@ -217,7 +216,7 @@ def test_bfs_matches_closed_form_random_pairs(kind, m, data):
     tree = build_truncated(BuildingSpec(kind, m), radius, hw)
     u = data.draw(st.sampled_from(tree.vertices))
     v = data.draw(st.sampled_from(tree.vertices))
-    assert distance(tree, u, v) == bfs_distance(tree, u, v)
+    assert distance(tree, u, v) == tree.bfs_distances(u)[v]
 
 
 def _reference_tree(kind, m, radius, halfwidth):

@@ -14,10 +14,12 @@ from impactzeta.building import (
 from impactzeta.errors import TruncationInsufficient, UnsupportedHeight
 from impactzeta.genfun import (
     basin_genfun,
+    basin_genfun_q,
     check_geodesic_q,
     check_recurrence_q,
     geodesic_genfun_q,
     layer_genfun,
+    layer_genfun_q,
     oracle_series_check,
     reachable_count_closed,
     reachable_count_oracle,
@@ -213,30 +215,30 @@ def test_split_layer_numerator_at_n2():
 
 def test_geodesic_examples():
     # Edge basin, n = 0: one basin vertex at distance 0, one at distance 1.
-    g = geodesic_genfun_q(RAM, 0, "layer").subs_q(2)
+    g = geodesic_genfun_q(RAM, layer_genfun(spec(RAM, 2), 0))
     assert g == RationalFn(ONE + x_pow(1), ONE)
     layer_at_distance = distance_profile(spec(RAM, 2), way_out_vertex(spec(RAM, 2), 0), 1)[0]
     assert layer_at_distance[:2] == (1, 1)
     # Vertex basin: geodesic basin flavor is (1 - X^2) * basin, a polynomial.
-    basin_geodesic = geodesic_genfun_q(UNRAM, 1, "basin").subs_q(2)
+    basin_geodesic = geodesic_genfun_q(UNRAM, basin_genfun(spec(UNRAM, 2), 1))
     assert basin_geodesic.den == ONE
     assert basin_geodesic.num == ONE + x_pow(1) + 2 * x_pow(2)
 
 
-@pytest.mark.parametrize("which", ["Layer", ""])
-def test_geodesic_rejects_unknown_flavor(which):
-    with pytest.raises(ValueError, match="which must be 'layer' or 'basin'"):
-        geodesic_genfun_q(UNRAM, 2, which)
+def _walks(kind, n_max):
+    """The layer and basin functions from O_0, ..., O_{n_max}, q symbolic."""
+    heights = range(n_max + 1)
+    return [layer_genfun_q(kind, n) for n in heights], [basin_genfun_q(kind, n) for n in heights]
 
 
 def test_geodesic_relation_symbolic():
     for kind in (UNRAM, RAM, SPLIT):
-        assert all_passed(check_geodesic_q(kind, 8))
+        assert all_passed(check_geodesic_q(kind, *_walks(kind, 8)))
 
 
 def test_recurrence_reports():
     for kind in (UNRAM, RAM, SPLIT):
-        assert all_passed(check_recurrence_q(kind, 8))
+        assert all_passed(check_recurrence_q(kind, *_walks(kind, 8)))
 
 
 # -- oracle equivalence ------------------------------------------------------

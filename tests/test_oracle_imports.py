@@ -4,7 +4,9 @@
 walk-count BFS) must import nothing from ``orders`` (the type counts and
 zeta functions) or ``genfun`` (the closed-form generating functions), in
 any import form, anywhere in the module.  Nor do they import ``report``:
-they return data, and ``suites`` builds the checks from it.
+they return data, and ``suites`` builds the checks from it.  The two
+closed-form sides, ``orders`` and ``genfun``, import nothing from each
+other either: ``suites`` builds both and hands them to the checks.
 """
 
 import ast
@@ -50,3 +52,9 @@ def test_oracles_build_no_check_records():
     for name in ORACLES:
         tree = ast.parse((SRC / f"{name}.py").read_text())
         assert not imported_modules(tree) & CHECK_RECORDS, name
+
+
+def test_closed_form_sides_import_nothing_from_each_other():
+    for name, other in (("orders", "genfun"), ("genfun", "orders")):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        assert other not in imported_modules(tree), name

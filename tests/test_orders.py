@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -155,8 +157,37 @@ def test_type_counts_sum_to_the_principal_series():
 
 def test_recurrence_and_main_theorem():
     for case in all_cases():
-        assert all_passed(check_zeta_recurrence(case, 8))
-        assert all_passed(check_main_theorem(case, 8))
+        fulls = [full_zeta(case, n) for n in range(9)]
+        layers = [genfun.layer_genfun_q(case.tag, n) for n in range(9)]
+        assert all_passed(check_zeta_recurrence(case, fulls))
+        assert all_passed(check_main_theorem(case, fulls, layers))
+
+
+def test_main_theorem_rejects_lists_of_different_lengths():
+    fulls = [full_zeta(SPLIT, n) for n in range(4)]
+    layers = [genfun.layer_genfun_q(SPLIT.tag, n) for n in range(3)]
+    with pytest.raises(ValueError):
+        check_main_theorem(SPLIT, fulls, layers)
+
+
+def test_identity_suite_builds_each_closed_form_once(monkeypatch):
+    """full_zeta and basin_genfun_q are not memoised, so the suite builds
+    each value once per case or kind and height and hands it to every check
+    that reads it.  Both are counted under every binding in the package."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "impactzeta"]
+    for real in (orders.full_zeta, genfun.basin_genfun_q):
+
+        def counted(*args, real=real):
+            calls[real.__name__] += 1
+            return real(*args)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    assert all_passed(identity_suite(8))
+    assert calls == {"full_zeta": 27, "basin_genfun_q": 27}
 
 
 def test_main_theorem_catches_wrong_low_type_counts(cold_closed_forms):
@@ -169,11 +200,12 @@ def test_main_theorem_catches_wrong_low_type_counts(cold_closed_forms):
         return count * Q if _is_low(case, n, omega) else count
 
     cold_closed_forms(orders, "classify_type", off_by_q)
+    results = identity_suite(4)
     for case in all_cases():
         main = [
             c.passed
-            for c in check_main_theorem(case, 4)
-            if c.name.startswith("main-theorem")
+            for c in results
+            if c.name.startswith(f"main-theorem {case.tag.value} ")
         ]
         # O_0 has no low types; every O_n with n >= 1 has the type 0.
         assert main == [True, False, False, False, False], case.tag
@@ -192,7 +224,7 @@ def test_main_theorem_catches_a_wrong_plateau_behind_a_warm_memo(cold_closed_for
         return real(kind, n) + extra
 
     cold_closed_forms(genfun, "_plateau_q", plus_q7)
-    failed = [c.name for c in check_main_theorem(SPLIT, 8) if not c.passed]
+    failed = [c.name for c in identity_suite(8) if not c.passed]
     assert failed == ["main-theorem split n=7"]
 
 

@@ -4,11 +4,17 @@ A public name that only the tests call is API that nothing exercises in
 use, and often a second copy of a job the program does elsewhere.  A name
 counts as used when another ``src`` module, its own module outside its own
 definition, or a ``bench/*.py`` script refers to it: as an identifier, an
-attribute, an imported name, or a ``module:qualname`` string (the form in
-which ``bench/trace_child.py`` names the functions it wraps).  This covers
+attribute, or a ``module:qualname`` string (the form in which
+``bench/trace_child.py`` names the functions it wraps).  An import alone
+is no use: a name imported and never called counts as unused.  This covers
 module-level functions and classes, and the public (non-underscore)
 methods of public classes.  The only exceptions are the referees below,
 each with the reason it stays.
+
+A ``module:qualname`` string keeps a name alive without calling it, so a
+second test lists the names that nothing refers to except such a string
+in ``bench/``: a function the program no longer calls, which the benchmark
+still wraps.
 """
 
 import ast
@@ -19,17 +25,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "impactzeta"
 
 REFEREES = {
-    "bfs_distance": "referee for building.distance (BFS against the address rule)",
     "slope_map": "referee for the order-q step behind classify_type's q^d",
     "poly_from_json": "inverse of cli.poly_to_json, for round-trip tests",
     "ClassAtlas.lattice_at": "inverse of ClassAtlas.locate, for the bijection test",
 }
 
+SPAN_ONLY = {
+    "build_line_tree": "named in `bench/trace_child.py` `SPANS`; goes with ROADMAP item 1",
+    "TruncatedTree.bfs_distances": "referee for building.distance (BFS against the "
+    "address rule), also named in `bench/trace_child.py` `SPANS`",
+}
+
 _SPAN_STRING = re.compile(r"\w+:[\w.]+")
 
 
-def _references(node, skip=None) -> set[str]:
-    """Names referred to anywhere under ``node``, leaving out the ``skip`` subtree."""
+def _references(node, skip=None, span_strings=True) -> set[str]:
+    """Names referred to anywhere under ``node``, leaving out the ``skip``
+    subtree, and ``module:qualname`` strings unless ``span_strings`` is false."""
     out = set()
     stack = [node]
     while stack:
@@ -41,9 +53,7 @@ def _references(node, skip=None) -> set[str]:
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            out.add(sub.name.rpartition(".")[2])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+        elif span_strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             if _SPAN_STRING.fullmatch(sub.value):
                 out.update(re.split(r"[:.]", sub.value))
     return out
@@ -53,11 +63,13 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def unreferenced_public_names() -> set[str]:
+def unreferenced_public_names(bench_spans: bool = True) -> set[str]:
+    """Public names nothing refers to; span strings in ``bench/`` count
+    as references unless ``bench_spans`` is false."""
     modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
     bench = set()
     for path in sorted((ROOT / "bench").glob("*.py")):
-        bench |= _references(_parse(path))
+        bench |= _references(_parse(path), span_strings=bench_spans)
     unused = set()
     for name, module in modules.items():
         elsewhere = set(bench)
@@ -83,6 +95,11 @@ def unreferenced_public_names() -> set[str]:
 
 def test_no_public_name_exists_only_for_tests():
     assert unreferenced_public_names() == set(REFEREES)
+
+
+def test_no_public_name_lives_only_in_a_bench_span():
+    span_only = unreferenced_public_names(bench_spans=False) - unreferenced_public_names()
+    assert span_only == set(SPAN_ONLY)
 
 
 def _attribute_reads(node, skip=None) -> set[str]:
