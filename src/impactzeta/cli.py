@@ -12,8 +12,8 @@ subcommand under ``request`` (in parser order, after ``subcommand``), CSV
 goes through ``csv.writer`` and the text formats are joined lines.  Output
 is deterministic: identical invocations produce identical bytes.
 Exit codes: 0 success, 1 verification/enumeration failure, 2 usage error
-(including an ``--output`` path that cannot be written and a value given
-twice to ``verify --m`` or ``--p``).
+(including an ``--output`` path that is empty or cannot be written and a
+value given twice to ``verify --m`` or ``--p``).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _write(
         body = buf.getvalue()
     else:
         body = "\n".join(text) + "\n"
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(body)
         return
     try:
@@ -331,6 +331,12 @@ def _residue_size(text: str) -> int:
     return value
 
 
+def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a nonempty path")
+    return text
+
+
 def _prime(text: str) -> int:
     value = int(text)
     if not is_prime(value):
@@ -355,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta.add_argument("--q", type=_residue_size, default=None)
     p_zeta.add_argument("--series-terms", type=_nonnegative, default=None)
     p_zeta.add_argument("--format", choices=["json", "text"], default="text")
-    p_zeta.add_argument("--output", default=None)
     p_zeta.set_defaults(func=cmd_zeta)
 
     p_gen = sub.add_parser("genfun", help="layer/basin generating functions")
@@ -364,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-n", type=_nonnegative, required=True)
     p_gen.add_argument("--series-terms", type=_nonnegative, default=None)
     p_gen.add_argument("--format", choices=["json", "text"], default="text")
-    p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(func=cmd_genfun)
 
     p_counts = sub.add_parser("counts", help="walk-count tables, closed vs oracle")
@@ -373,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_counts.add_argument("-n", type=_nonnegative, required=True)
     p_counts.add_argument("--max-d", type=_nonnegative, default=10)
     p_counts.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p_counts.add_argument("--output", default=None)
     p_counts.set_defaults(func=cmd_counts)
 
     p_enum = sub.add_parser("enumerate", help="p-adic ideal table")
@@ -382,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("-n", type=_nonnegative, required=True)
     p_enum.add_argument("--max-contribution", type=_nonnegative, required=True)
     p_enum.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p_enum.add_argument("--output", default=None)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -397,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-d", type=_nonnegative, default=12)
     p_verify.add_argument("--max-contribution", type=_nonnegative, default=6)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
-    p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_tree = sub.add_parser("tree", help="truncated tree export")
@@ -406,9 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--radius", type=_nonnegative, required=True)
     p_tree.add_argument("--halfwidth", type=_nonnegative, default=None)
     p_tree.add_argument("--format", choices=["dot", "json", "text"], default="text")
-    p_tree.add_argument("--output", default=None)
     p_tree.set_defaults(func=cmd_tree)
 
+    for p_sub in sub.choices.values():
+        p_sub.add_argument("--output", type=_output_path, default=None)
     return parser
 
 

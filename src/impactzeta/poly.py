@@ -6,10 +6,17 @@ commuting indeterminates ``q`` (residue cardinality / branching symbol) and
 no floating point appears anywhere.  Terms are kept in a canonical order
 sorted by ``(x_exponent, q_exponent)`` with zero coefficients dropped, so
 structural equality of term tuples is mathematical equality.
+
+Cost model: only ``BiPoly(...)``, ``const`` and ``term`` canonicalise and
+validate.  Other results are canonical by construction: a product or a sum
+accumulates in one dict pass and sorts its nonzero keys once, negation,
+``subs_q`` and ``x_coefficients`` keep their order, and ``exact_div`` pops
+each leading term from a heap, O(t log t) for t remainder terms.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -19,16 +26,27 @@ from .errors import NonUnitDenominator, NotDivisible
 Term = tuple[int, int, int]
 
 
+def _sorted_terms(acc: dict[tuple[int, int], int]) -> tuple[Term, ...]:
+    """The canonical term tuple of coefficients keyed by ``(x_exp, q_exp)``."""
+    keys = sorted([key for key, c in acc.items() if c])
+    return tuple([(qe, xe, acc[xe, qe]) for xe, qe in keys])
+
+
 def _canonical(terms: Iterable[Term]) -> tuple[Term, ...]:
     acc: dict[tuple[int, int], int] = {}
     for qe, xe, c in terms:
         if qe < 0 or xe < 0:
             raise ValueError("exponents must be nonnegative")
-        key = (qe, xe)
-        acc[key] = acc.get(key, 0) + c
-    out = [(qe, xe, c) for (qe, xe), c in acc.items() if c != 0]
-    out.sort(key=lambda t: (t[1], t[0]))
-    return tuple(out)
+        acc[xe, qe] = acc.get((xe, qe), 0) + c
+    return _sorted_terms(acc)
+
+
+def _merged(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> BiPoly:
+    """a + sign*b for canonical term tuples a and b."""
+    acc = {(xe, qe): c for qe, xe, c in a}
+    for qe, xe, c in b:
+        acc[xe, qe] = acc.get((xe, qe), 0) + sign * c
+    return _trusted(_sorted_terms(acc))
 
 
 @dataclass(frozen=True)
@@ -60,7 +78,7 @@ class BiPoly:
         by_x: dict[int, list[Term]] = {}
         for qe, xe, c in self.terms:
             by_x.setdefault(xe, []).append((qe, 0, c))
-        return {xe: BiPoly(tuple(ts)) for xe, ts in by_x.items()}
+        return {xe: _trusted(tuple(ts)) for xe, ts in by_x.items()}
 
     def as_int(self) -> int:
         """The value of a constant polynomial."""
@@ -76,35 +94,35 @@ class BiPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return BiPoly(self.terms + other.terms)
+        return _merged(self.terms, other.terms, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        return BiPoly(tuple((qe, xe, -c) for qe, xe, c in self.terms))
+        return _trusted(tuple((qe, xe, -c) for qe, xe, c in self.terms))
 
     def __sub__(self, other: Union[BiPoly, int]) -> BiPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _merged(self.terms, other.terms, -1)
 
     def __rsub__(self, other: Union[BiPoly, int]) -> BiPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _merged(other.terms, self.terms, -1)
 
     def __mul__(self, other: Union[BiPoly, int]) -> BiPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        prod = [
-            (qa + qb, xa + xb, ca * cb)
-            for qa, xa, ca in self.terms
-            for qb, xb, cb in other.terms
-        ]
-        return BiPoly(tuple(prod))
+        acc: dict[tuple[int, int], int] = {}
+        for qa, xa, ca in self.terms:
+            for qb, xb, cb in other.terms:
+                key = (xa + xb, qa + qb)
+                acc[key] = acc.get(key, 0) + ca * cb
+        return _trusted(_sorted_terms(acc))
 
     __rmul__ = __mul__
 
@@ -118,7 +136,10 @@ class BiPoly:
 
     def subs_q(self, q0: int) -> BiPoly:
         """Substitute the integer q0 for q, leaving a polynomial in X."""
-        return BiPoly(tuple((0, xe, c * q0**qe) for qe, xe, c in self.terms))
+        by_x: dict[int, int] = {}
+        for qe, xe, c in self.terms:
+            by_x[xe] = by_x.get(xe, 0) + c * q0**qe
+        return _trusted(tuple((0, xe, c) for xe, c in by_x.items() if c))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -138,6 +159,13 @@ class BiPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _trusted(terms: tuple[Term, ...]) -> BiPoly:
+    """A BiPoly on terms already in canonical form, without ``__post_init__``."""
+    poly = object.__new__(BiPoly)
+    object.__setattr__(poly, "terms", terms)
+    return poly
 
 
 def _coerce(value: Union[BiPoly, int]) -> BiPoly | None:
@@ -173,24 +201,31 @@ def exact_div(a: BiPoly, b: BiPoly) -> BiPoly:
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lb_q, lb_x, lb_c = b.terms[-1]
-    rem = dict(((qe, xe), c) for qe, xe, c in a.terms)
+    *rest, (lb_q, lb_x, lb_c) = b.terms
+    # Keys are negated (x, q) exponents, so the heap's minimum leads.  A key is
+    # pushed once, below the popped one, and kept in ``rem`` (0 if cancelled).
+    rem = {(-xe, -qe): c for qe, xe, c in a.terms}
+    heap = list(rem)
+    heapq.heapify(heap)
     quo: list[Term] = []
-    while rem:
-        (rq, rx) = max(rem, key=lambda k: (k[1], k[0]))
-        rc = rem[(rq, rx)]
-        if rq < lb_q or rx < lb_x or rc % lb_c != 0:
+    while heap:
+        key = heapq.heappop(heap)
+        rc = rem.pop(key)
+        if not rc:
+            continue
+        tx, tq = -key[0] - lb_x, -key[1] - lb_q
+        if tq < 0 or tx < 0 or rc % lb_c != 0:
             raise NotDivisible(f"({a}) is not divisible by ({b})")
-        tq, tx, tc = rq - lb_q, rx - lb_x, rc // lb_c
+        tc = rc // lb_c
         quo.append((tq, tx, tc))
-        for bq, bx, bc in b.terms:
-            key = (tq + bq, tx + bx)
-            nc = rem.get(key, 0) - tc * bc
-            if nc:
-                rem[key] = nc
+        for bq, bx, bc in rest:
+            key = (-tx - bx, -tq - bq)
+            if key in rem:
+                rem[key] -= tc * bc
             else:
-                rem.pop(key, None)
-    return BiPoly(tuple(quo))
+                rem[key] = -tc * bc
+                heapq.heappush(heap, key)
+    return _trusted(tuple(reversed(quo)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +233,8 @@ class RationalFn:
     """A ratio of two BiPoly, never reduced to lowest terms.
 
     Equality is cross-multiplication (num*other.den == other.num*den), which
-    is how the identities downstream are stated; hashing is deliberately
-    disabled.
+    is how the identities downstream are stated, or, over an equal nonzero
+    denominator, the same verdict from the numerators.  Hashing is disabled.
     """
 
     num: BiPoly
@@ -212,6 +247,8 @@ class RationalFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     __hash__ = None  # type: ignore[assignment]

@@ -606,6 +606,29 @@ def test_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--case", "split", "-n", "1"],
+        ["genfun", "--basin", "split", "--m", "2", "-n", "1"],
+        ["counts", "--basin", "split", "--m", "2", "-n", "1", "--max-d", "2"],
+        ["enumerate", "--case", "split", "--p", "2", "-n", "0", "--max-contribution", "1"],
+        ["verify", "--suite", "identities", "--max-n", "0"],
+        ["tree", "--basin", "split", "--m", "2", "--radius", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_output_path_is_a_usage_error(capsys, argv):
+    # An empty --output used to read as "no path": the output went to
+    # stdout and the command exited 0.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --output: must be a nonempty path" in err
+
+
+@pytest.mark.parametrize(
     ("argv", "message"),
     [
         (["verify", "--suite", "oracle", "--m", "2", "--m", "2", "--max-n", "1",
