@@ -22,24 +22,20 @@ generating functions unroll the recurrence
 
     basin(n) = layer(n) + X * basin(n-1).
 
-Closed forms are built once with the branching parameter kept symbolic (the
-same indeterminate as q); numeric m is a substitution view.  For the even
-walk counts below the threshold and for the linear growth beyond it in the
-apartment case, the BFS oracle is the arbiter of the exact coefficients
-(m^k at d = 2k < 2n, and (l+1)(m-1)m^{n-1} at d = 2n + l).
+Closed forms are built, not memoised, with the branching parameter kept
+symbolic (the same indeterminate as q); numeric m is a substitution view.
+For the even walk counts below the threshold and for the linear growth
+beyond it in the apartment case, the BFS oracle is the arbiter of the exact
+coefficients (m^k at d = 2k < 2n, and (l+1)(m-1)m^{n-1} at d = 2n + l).
 """
 
 from __future__ import annotations
 
-import functools
-
 from .building import BasinKind, BuildingSpec
 from .errors import TruncationInsufficient, UnsupportedHeight
-from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
+from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sum
 from .report import CheckResult
 
-# Entries in the layer_genfun_q memo: 3 kinds x 41 heights, n <= 40.
-CACHE_SIZE = 128
 _ONE_MINUS_X = ONE - x_pow(1)
 _ONE_MINUS_X2 = ONE - x_pow(2)
 
@@ -63,7 +59,6 @@ def _plateau_q(kind: BasinKind, n: int) -> BiPoly:
     return (q_pow(1) - 1) * q_pow(n - 1)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def layer_genfun_q(kind: BasinKind, n: int) -> RationalFn:
     """Layer generating function from O_n with the branching symbolic."""
     if n < 0:
@@ -75,13 +70,10 @@ def layer_genfun_q(kind: BasinKind, n: int) -> RationalFn:
 
 
 def basin_genfun_q(kind: BasinKind, n: int) -> RationalFn:
-    """Basin generating function from O_n: sum_i X^i * layer(n - i), one term
-    list of shifted memoised layer numerators, canonicalised once."""
+    """Basin generating function from O_n: sum_i X^i * layer(n - i)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    layers = [layer_genfun_q(kind, n - i) for i in range(n + 1)]
-    shifted = ((qe, xe + i, c) for i, f in enumerate(layers) for qe, xe, c in f.num.terms)
-    return RationalFn(BiPoly(tuple(shifted)), layers[0].den)
+    return x_shift_sum([layer_genfun_q(kind, n - i) for i in range(n + 1)])
 
 
 def layer_genfun(spec: BuildingSpec, n: int) -> RationalFn:
@@ -181,18 +173,20 @@ def check_geodesic_q(
 
 
 def oracle_series_check(
-    spec: BuildingSpec, n: int, profile: tuple[tuple[int, ...], tuple[int, ...]]
+    spec: BuildingSpec,
+    n: int,
+    profile: tuple[tuple[int, ...], tuple[int, ...]],
+    walks: tuple[RationalFn, RationalFn],
 ) -> list[CheckResult]:
     """Compare closed-form series coefficients with the BFS oracle at O_n.
 
-    ``profile`` is the ``distance_profile`` of O_n, up to the longest walk.
-    Covers the layer counts (closed formula for n >= 1, series coefficients
-    of the layer generating function for every n) and the basin counts
-    (series coefficients of the basin generating function).
+    ``profile`` is the ``distance_profile`` of O_n, up to the longest walk,
+    and ``walks`` its layer and basin functions in q, read at q = m.  Covers
+    the layer counts (closed formula for n >= 1, layer series for every n)
+    and the basin counts (basin series).
     """
     max_d = len(profile[0]) - 1
-    layer_series = series_expand(layer_genfun(spec, n), max_d).at_q(0)
-    basin_series = series_expand(basin_genfun(spec, n), max_d).at_q(0)
+    layer_series, basin_series = (series_expand(f.subs_q(spec.m), max_d).at_q(0) for f in walks)
     results = []
     label = f"{spec.kind.value} m={spec.m} n={n}"
     for d in range(max_d + 1):

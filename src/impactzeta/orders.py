@@ -22,8 +22,8 @@ denominator V; cleared against V they produce the numerator families
 
 and the symbolic cross-check against the tree-side generating functions is
 the executable form of the correspondence between the two viewpoints.
-``suites`` hands check_main_theorem the tree-side layer functions, so this
-module imports nothing from genfun.
+Nothing is memoised: ``suites`` hands the check functions lists of these
+and of the tree-side layer functions, so this module imports nothing from genfun.
 
 Note the index convention [O_n : I] = q^{+c(eps(I))}: indices of nonzero
 ideals are >= 1, and the p-adic enumeration oracle measures them directly.
@@ -31,16 +31,12 @@ ideals are >= 1, and the p-adic enumeration oracle measures them directly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .building import BasinKind
 from .errors import ArityMismatch
-from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow
+from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sum
 from .report import CheckResult
-
-# Entries in the principal_zeta memo: 3 cases x 41 heights, n <= 40.
-CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ def zeta_denominator(case: ExtensionCase) -> BiPoly:
     return den
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def principal_zeta(case: ExtensionCase, n: int) -> RationalFn:
     """Exact principal-ideal zeta: low-type sum plus geometric high tail.
 
@@ -148,13 +143,10 @@ def principal_zeta(case: ExtensionCase, n: int) -> RationalFn:
 
 
 def full_zeta(case: ExtensionCase, n: int) -> RationalFn:
-    """The full ideal zeta of O_n, over V: full(n) = sum_i X^i principal(n - i),
-    one term list of shifted memoised principal numerators, canonicalised once."""
+    """The full ideal zeta of O_n, over V: full(n) = sum_i X^i principal(n - i)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    principals = [principal_zeta(case, n - i) for i in range(n + 1)]
-    shifted = ((qe, xe + i, c) for i, f in enumerate(principals) for qe, xe, c in f.num.terms)
-    return RationalFn(BiPoly(tuple(shifted)), principals[0].den)
+    return x_shift_sum([principal_zeta(case, n - i) for i in range(n + 1)])
 
 
 def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:
@@ -173,24 +165,30 @@ def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:
     return head * r_poly(n - 1) + q_pow(n) * x_pow(2 * n)
 
 
-def check_zeta_recurrence(case: ExtensionCase, fulls: list[RationalFn]) -> list[CheckResult]:
-    """full(n) = principal(n) + X * full(n-1) symbolically in q; fulls[n] is full_zeta(case, n)."""
+def check_zeta_recurrence(
+    case: ExtensionCase, principals: list[RationalFn], fulls: list[RationalFn]
+) -> list[CheckResult]:
+    """full(n) = principal(n) + X * full(n-1) symbolically in q, for the functions
+    principals[n] and fulls[n] of O_n."""
     results = []
     for n, (prev, full) in enumerate(zip(fulls, fulls[1:]), start=1):
-        ok = full == principal_zeta(case, n) + x_pow(1) * prev
+        ok = full == principals[n] + x_pow(1) * prev
         results.append(CheckResult(f"zeta-recurrence {case.tag.value} n={n}", ok))
     return results
 
 
 def check_main_theorem(
-    case: ExtensionCase, fulls: list[RationalFn], layers: list[RationalFn]
+    case: ExtensionCase,
+    principals: list[RationalFn],
+    fulls: list[RationalFn],
+    layers: list[RationalFn],
 ) -> list[CheckResult]:
-    """Principal zeta from the type count equals the tree-side layer generating
-    function layers[n] (q for m), and the numerator of fulls[n] = full_zeta(case, n)
-    equals the closed-form numerator family.  Unequal lengths raise ValueError."""
+    """Principal zeta principals[n] from the type count equals the tree-side layer
+    generating function layers[n] (q for m), and the numerator of the full zeta
+    fulls[n] equals the numerator family.  Unequal lengths raise ValueError."""
     results = []
-    for n, (full, layer) in enumerate(zip(fulls, layers, strict=True)):
-        ok_main = principal_zeta(case, n) == layer
+    for n, (principal, full, layer) in enumerate(zip(principals, fulls, layers, strict=True)):
+        ok_main = principal == layer
         results.append(CheckResult(f"main-theorem {case.tag.value} n={n}", ok_main))
         ok_num = full.num == numerator_poly(case, n)
         results.append(CheckResult(f"numerator {case.tag.value} n={n}", ok_num))

@@ -8,10 +8,10 @@ sorted by ``(x_exponent, q_exponent)`` with zero coefficients dropped, so
 structural equality of term tuples is mathematical equality.
 
 Cost model: only ``BiPoly(...)``, ``const`` and ``term`` canonicalise and
-validate.  Other results are canonical by construction: a product or a sum
-accumulates in one dict pass and sorts its nonzero keys once, negation,
-``subs_q`` and ``x_coefficients`` keep their order, and ``exact_div`` pops
-each leading term from a heap, O(t log t) for t remainder terms.
+validate.  Other results are canonical by construction: a product, a sum or
+a shifted sum accumulates in one dict pass and sorts its nonzero keys once,
+negation, ``subs_q`` and ``x_coefficients`` keep their order, and ``exact_div``
+pops each leading term from a heap, O(t log t) for t remainder terms.
 """
 
 from __future__ import annotations
@@ -277,6 +277,15 @@ class RationalFn:
         if self.den == ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def x_shift_sum(fs: list[RationalFn]) -> RationalFn:
+    """sum_i X^i * fs[i] for a nonempty list whose members share one denominator."""
+    den, acc = fs[0].den, {}
+    for i, f in enumerate(fs):
+        for qe, xe, c in f.num.terms:
+            acc[xe + i, qe] = acc.get((xe + i, qe), 0) + c
+    return RationalFn(_trusted(_sorted_terms(acc)), den)
 
 
 @dataclass(frozen=True)

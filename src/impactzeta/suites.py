@@ -4,10 +4,10 @@ Three suites:
 
 * identities: symbolic checks (numerator families, the correspondence
   between principal zeta and layer generating functions, both recurrences,
-  the geodesic relation).  The suite builds each closed form once and
-  hands the values to the check functions of ``orders`` and ``genfun``,
-  which only compare them.
-* oracle: height-pruned BFS counts against the closed forms.
+  the geodesic relation).  The suite builds each leaf once per case or
+  basin and height, sums the full and basin functions from those lists with
+  ``poly.x_shift_sum``, and hands them to the checks, which only compare.
+* oracle: height-pruned BFS counts against closed forms built after every BFS.
 * arithmetic: the p-adic enumeration oracle against the type-counting
   results (unit indices, type histograms and contributions, principal and
   full series prefixes, the traveling map), its generator search against
@@ -33,7 +33,6 @@ from .building import (
     way_out_vertex,
 )
 from .genfun import (
-    basin_genfun_q,
     check_geodesic_q,
     check_recurrence_q,
     layer_genfun_q,
@@ -46,9 +45,9 @@ from .orders import (
     classify_type,
     contribution,
     extension_case,
-    full_zeta,
     ideal_count_series,
     principal_count_series,
+    principal_zeta,
     unit_index,
 )
 from .padic import (
@@ -59,7 +58,7 @@ from .padic import (
     source_and_distance_check,
     traveling,
 )
-from .poly import ONE, BiPoly, RationalFn, x_pow
+from .poly import ONE, BiPoly, RationalFn, x_pow, x_shift_sum
 from .report import CheckResult, all_passed
 
 ALL_KINDS = (BasinKind.RAMIFIED, BasinKind.UNRAMIFIED, BasinKind.SPLIT)
@@ -71,29 +70,37 @@ DEFAULT_PRIMES = {
 }
 
 
-def identity_suite(n_max: int) -> list[CheckResult]:
+def _walk_functions(kinds: Iterable[BasinKind], n_max: int):
+    """The layer and basin functions of O_n per basin, for n = 0..n_max."""
     heights = range(n_max + 1)
-    layers = {kind: [layer_genfun_q(kind, n) for n in heights] for kind in ALL_KINDS}
+    layers = {kind: [layer_genfun_q(kind, n) for n in heights] for kind in kinds}
+    return layers, {k: [x_shift_sum(ls[n::-1]) for n in heights] for k, ls in layers.items()}
+
+
+def identity_suite(n_max: int) -> list[CheckResult]:
+    layers, basins = _walk_functions(ALL_KINDS, n_max)
     results: list[CheckResult] = []
     for case in all_cases():
-        fulls = [full_zeta(case, n) for n in heights]
-        results.extend(check_main_theorem(case, fulls, layers[case.tag]))
-        results.extend(check_zeta_recurrence(case, fulls))
+        principals = [principal_zeta(case, n) for n in range(n_max + 1)]
+        fulls = [x_shift_sum(principals[n::-1]) for n in range(n_max + 1)]
+        results.extend(check_main_theorem(case, principals, fulls, layers[case.tag]))
+        results.extend(check_zeta_recurrence(case, principals, fulls))
     for kind in ALL_KINDS:
-        basins = [basin_genfun_q(kind, n) for n in heights]
-        results.extend(check_recurrence_q(kind, layers[kind], basins))
-        results.extend(check_geodesic_q(kind, layers[kind], basins))
+        results.extend(check_recurrence_q(kind, layers[kind], basins[kind]))
+        results.extend(check_geodesic_q(kind, layers[kind], basins[kind]))
     return results
 
 
 def oracle_suite(ms: Iterable[int], n_max: int, d_max: int) -> list[CheckResult]:
     sources = [(BuildingSpec(k, m), n) for k, m, n in product(ALL_KINDS, ms, range(n_max + 1))]
-    # Every BFS runs before any closed form is expanded, so a size whose
-    # profile meets the state cap fails before the long series expansions.
+    # Every BFS runs before any closed form is built or expanded, so a size
+    # whose profile meets the state cap fails before the long series expansions.
     profiles = [distance_profile(spec, way_out_vertex(spec, n), d_max) for spec, n in sources]
+    layers, basins = _walk_functions(ALL_KINDS, n_max)
     results: list[CheckResult] = []
     for (spec, n), profile in zip(sources, profiles):
-        results.extend(oracle_series_check(spec, n, profile))
+        walks = (layers[spec.kind][n], basins[spec.kind][n])
+        results.extend(oracle_series_check(spec, n, profile, walks))
     return results
 
 
@@ -105,31 +112,23 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
     Each ``line oracle`` check folds the per-d checks of
     :func:`oracle_series_check` on the line into one.
     """
+    kinds = (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED)
+    sources = [(line_spec(kind), n) for kind in kinds for n in range(n_max + 1)]
+    profiles = [distance_profile(spec, way_out_vertex(spec, n), d_max) for spec, n in sources]
+    layers, basins = _walk_functions(kinds, n_max)
     results: list[CheckResult] = []
-    one_minus_x2 = ONE - x_pow(2)
-    one_minus_x = ONE - x_pow(1)
     for n in range(n_max + 1):
-        unram_layer = layer_genfun_q(BasinKind.UNRAMIFIED, n).subs_q(1)
         # A single layer vertex at n = 0, two at distance 2n apart otherwise.
-        expected = RationalFn(
-            ONE if n == 0 else ONE + x_pow(2 * n), one_minus_x2
-        )
-        results.append(
-            CheckResult(f"line unramified layer n={n}", unram_layer == expected)
-        )
-        ram_basin = basin_genfun_q(BasinKind.RAMIFIED, n).subs_q(1)
-        expected_basin = RationalFn(
-            BiPoly(tuple((0, 2 * k, 1) for k in range(n + 1))), one_minus_x
-        )
-        results.append(
-            CheckResult(f"line ramified basin n={n}", ram_basin == expected_basin)
-        )
-    for kind in (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED):
-        spec = line_spec(kind)
-        for n in range(n_max + 1):
-            profile = distance_profile(spec, way_out_vertex(spec, n), d_max)
-            ok = all_passed(oracle_series_check(spec, n, profile))
-            results.append(CheckResult(f"line oracle {kind.value} n={n}", ok))
+        expected = RationalFn(ONE if n == 0 else ONE + x_pow(2 * n), ONE - x_pow(2))
+        ok = layers[BasinKind.UNRAMIFIED][n].subs_q(1) == expected
+        results.append(CheckResult(f"line unramified layer n={n}", ok))
+        expected = RationalFn(BiPoly(tuple((0, 2 * k, 1) for k in range(n + 1))), ONE - x_pow(1))
+        ok = basins[BasinKind.RAMIFIED][n].subs_q(1) == expected
+        results.append(CheckResult(f"line ramified basin n={n}", ok))
+    for (spec, n), profile in zip(sources, profiles):
+        walks = (layers[spec.kind][n], basins[spec.kind][n])
+        ok = all_passed(oracle_series_check(spec, n, profile, walks))
+        results.append(CheckResult(f"line oracle {spec.kind.value} n={n}", ok))
     return results
 
 

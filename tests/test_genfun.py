@@ -250,7 +250,8 @@ def test_oracle_equivalence_small_grid(kind, m):
     for n in range(4):
         source = way_out_vertex(spec(kind, m), n)
         profile = distance_profile(spec(kind, m), source, 8)
-        assert all_passed(oracle_series_check(spec(kind, m), n, profile))
+        walks = (layer_genfun_q(kind, n), basin_genfun_q(kind, n))
+        assert all_passed(oracle_series_check(spec(kind, m), n, profile, walks))
 
 
 def test_parity_laws():

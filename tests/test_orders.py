@@ -157,40 +157,59 @@ def test_type_counts_sum_to_the_principal_series():
 
 def test_recurrence_and_main_theorem():
     for case in all_cases():
+        principals = [principal_zeta(case, n) for n in range(9)]
         fulls = [full_zeta(case, n) for n in range(9)]
         layers = [genfun.layer_genfun_q(case.tag, n) for n in range(9)]
-        assert all_passed(check_zeta_recurrence(case, fulls))
-        assert all_passed(check_main_theorem(case, fulls, layers))
+        assert all_passed(check_zeta_recurrence(case, principals, fulls))
+        assert all_passed(check_main_theorem(case, principals, fulls, layers))
 
 
 def test_main_theorem_rejects_lists_of_different_lengths():
+    principals = [principal_zeta(SPLIT, n) for n in range(4)]
     fulls = [full_zeta(SPLIT, n) for n in range(4)]
     layers = [genfun.layer_genfun_q(SPLIT.tag, n) for n in range(3)]
     with pytest.raises(ValueError):
-        check_main_theorem(SPLIT, fulls, layers)
+        check_main_theorem(SPLIT, principals, fulls, layers)
+    with pytest.raises(ValueError):
+        check_main_theorem(SPLIT, principals[:3], fulls, layers)
 
 
 def test_identity_suite_builds_each_closed_form_once(monkeypatch):
-    """full_zeta and basin_genfun_q are not memoised, so the suite builds
-    each value once per case or kind and height and hands it to every check
-    that reads it.  Both are counted under every binding in the package."""
+    """Neither leaf is memoised, so the suite builds principal_zeta once per
+    (case, n) and layer_genfun_q once per (kind, n), sums the full and basin
+    functions from those lists, and never calls full_zeta or basin_genfun_q,
+    which would rebuild every leaf below n.  All four are counted under every
+    binding in the package; n_max = 45 is past the 128 entries a memo of
+    3 x 41 keys would hold."""
     calls = Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "impactzeta"]
-    for real in (orders.full_zeta, genfun.basin_genfun_q):
+    for real in (
+        orders.principal_zeta,
+        orders.full_zeta,
+        genfun.layer_genfun_q,
+        genfun.basin_genfun_q,
+    ):
 
         def counted(*args, real=real):
-            calls[real.__name__] += 1
+            calls[real.__name__, args] += 1
             return real(*args)
 
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, key, counted)
-    assert all_passed(identity_suite(8))
-    assert calls == {"full_zeta": 27, "basin_genfun_q": 27}
+    for n_max, builds in ((8, 27), (45, 138)):
+        calls.clear()
+        assert all_passed(identity_suite(n_max))
+        heights = range(n_max + 1)
+        leaves = [("principal_zeta", (case, n)) for case in all_cases() for n in heights]
+        leaves += [("layer_genfun_q", (kind, n)) for kind in BasinKind for n in heights]
+        assert calls == Counter(leaves)
+        per_leaf = Counter(name for name, _ in calls.elements())
+        assert per_leaf == {"principal_zeta": builds, "layer_genfun_q": builds}
 
 
-def test_main_theorem_catches_wrong_low_type_counts(cold_closed_forms):
+def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):
     """The principal zeta is summed from classify_type, so a low-type count
     that is off by a factor q must fail the comparison with the tree side."""
     real = orders.classify_type
@@ -199,7 +218,7 @@ def test_main_theorem_catches_wrong_low_type_counts(cold_closed_forms):
         count = real(case, n, omega)
         return count * Q if _is_low(case, n, omega) else count
 
-    cold_closed_forms(orders, "classify_type", off_by_q)
+    monkeypatch.setattr(orders, "classify_type", off_by_q)
     results = identity_suite(4)
     for case in all_cases():
         main = [
@@ -211,19 +230,17 @@ def test_main_theorem_catches_wrong_low_type_counts(cold_closed_forms):
         assert main == [True, False, False, False, False], case.tag
 
 
-def test_main_theorem_catches_a_wrong_plateau_behind_a_warm_memo(cold_closed_forms):
+def test_main_theorem_catches_a_wrong_plateau_at_one_height(monkeypatch):
     """The layer generating function is built from _plateau_q, so an extra
-    q^7 in the split plateau at n = 7 must fail the main theorem there, even
-    when the layer memo was filled before the plateau went wrong."""
-    assert all_passed(identity_suite(8))
-    assert genfun.layer_genfun_q.cache_info().currsize > 0
+    q^7 in the split plateau at n = 7 must fail the main theorem there, and
+    nowhere else: the basin functions are summed from the same layers."""
     real = genfun._plateau_q
 
     def plus_q7(kind, n):
         extra = q_pow(7) if (kind, n) == (BasinKind.SPLIT, 7) else 0
         return real(kind, n) + extra
 
-    cold_closed_forms(genfun, "_plateau_q", plus_q7)
+    monkeypatch.setattr(genfun, "_plateau_q", plus_q7)
     failed = [c.name for c in identity_suite(8) if not c.passed]
     assert failed == ["main-theorem split n=7"]
 

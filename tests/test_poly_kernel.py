@@ -1,19 +1,22 @@
 """The Z[q, X] kernel builds canonical results without re-canonicalising them.
 
-Only the public constructors run ``_canonical``; products, sums, negation,
-``subs_q``, ``x_coefficients`` and the ``exact_div`` quotient are built in
-canonical order directly.  The tests below hold each of those results to
-``_canonical``, keep the scan-the-remainder long division as the referee
-for the heap-ordered ``exact_div``, and hold ``RationalFn.__eq__`` over a
-shared denominator to cross-multiplication.
+Only the public constructors run ``_canonical``; products, sums, shifted
+sums (``x_shift_sum``), negation, ``subs_q``, ``x_coefficients`` and the
+``exact_div`` quotient are built in canonical order directly.  The tests
+below hold each of those results to ``_canonical``, keep the left fold as
+the referee for ``x_shift_sum`` and the scan-the-remainder long division as
+the referee for the heap-ordered ``exact_div``, and hold
+``RationalFn.__eq__`` over a shared denominator to cross-multiplication.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from impactzeta import poly
 from impactzeta.errors import NotDivisible
-from impactzeta.poly import ONE, Q, X, ZERO, BiPoly, RationalFn, exact_div, x_pow
+from impactzeta.poly import ONE, Q, X, ZERO, BiPoly, RationalFn, exact_div, x_pow, x_shift_sum
 
 
 def referee_div(a: BiPoly, b: BiPoly) -> BiPoly:
@@ -118,6 +121,20 @@ def test_public_constructors_still_validate():
         BiPoly(((0, -2, 1),))
     assert BiPoly.term(0, 0, 0).is_zero()
     assert BiPoly.const(0) == ZERO
+
+
+# -- shifted sums against the left fold ------------------------------------------
+
+
+@given(st.lists(bipolys, min_size=1, max_size=6), nonzero)
+def test_x_shift_sum_is_the_left_fold_without_canonicalising(nums, den):
+    fs = [RationalFn(num, den) for num in nums]
+    with mock.patch.object(poly, "_canonical", side_effect=poly._canonical) as spy:
+        total = x_shift_sum(fs)
+    assert spy.call_count == 0
+    assert total.den is den
+    assert total.num == sum((x_pow(i) * num for i, num in enumerate(nums)), BiPoly())
+    assert_canonical(total.num)
 
 
 # -- equality of rational functions -----------------------------------------------

@@ -1,11 +1,11 @@
 """The closed-form sums of shifted polynomials, against the left fold.
 
-``basin_genfun_q`` and ``full_zeta`` sum X^i times a memoised leaf
-numerator, and the low-type sums are sum_k q^k X^{2k}.  Each is built as
+``basin_genfun_q`` and ``full_zeta`` sum X^i times a leaf function through
+``poly.x_shift_sum``, and the low-type sums are sum_k q^k X^{2k}, built as
 one term list and canonicalised once.  The referees below rebuild every
 sum as the left fold ``sum(..., BiPoly())``, which canonicalises each
-partial sum, and the guards count canonicalisations to keep the one-pass
-construction from sliding back into that fold.
+partial sum, and the guards count canonicalisations to keep the shifted
+sum of built leaves from sliding back into that fold or into a re-sort.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from impactzeta import poly
 from impactzeta.building import BasinKind
 from impactzeta.genfun import _plateau_q, basin_genfun_q, layer_genfun_q, tail_denominator
 from impactzeta.orders import all_cases, full_zeta, numerator_poly, principal_zeta
-from impactzeta.poly import ONE, BiPoly, RationalFn, q_pow, x_pow
+from impactzeta.poly import ONE, BiPoly, RationalFn, q_pow, x_pow, x_shift_sum
 from impactzeta.suites import ALL_KINDS, line_fixture_suite
 
 MAX_N = 12
@@ -95,17 +95,18 @@ def canonical_calls(monkeypatch, build):
     return len(calls)
 
 
+def shift_sum_canonical_calls(monkeypatch, leaves):
+    """Canonicalisations of the shifted sums of leaves[:9] and leaves[:33]."""
+    return [canonical_calls(monkeypatch, lambda: x_shift_sum(leaves[n::-1])) for n in (8, 32)]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-def test_basin_sum_canonicalises_a_fixed_number_of_times(cold_closed_forms, monkeypatch, kind):
-    for k in range(33):
-        layer_genfun_q(kind, k)
-    counts = [canonical_calls(monkeypatch, lambda: basin_genfun_q(kind, n)) for n in (8, 32)]
-    assert counts[0] == counts[1], counts
+def test_basin_sum_canonicalises_a_fixed_number_of_times(monkeypatch, kind):
+    layers = [layer_genfun_q(kind, k) for k in range(33)]
+    assert shift_sum_canonical_calls(monkeypatch, layers) == [0, 0]
 
 
 @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.tag.value)
-def test_full_zeta_canonicalises_a_fixed_number_of_times(cold_closed_forms, monkeypatch, case):
-    for k in range(33):
-        principal_zeta(case, k)
-    counts = [canonical_calls(monkeypatch, lambda: full_zeta(case, n)) for n in (8, 32)]
-    assert counts[0] == counts[1], counts
+def test_full_zeta_canonicalises_a_fixed_number_of_times(monkeypatch, case):
+    principals = [principal_zeta(case, k) for k in range(33)]
+    assert shift_sum_canonical_calls(monkeypatch, principals) == [0, 0]
