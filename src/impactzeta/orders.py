@@ -195,13 +195,7 @@ def check_main_theorem(
     return results
 
 
-def ideal_count_series(case: ExtensionCase, n: int, degree: int, q0: int) -> list[int]:
-    """Ideal counts of O_n by index exponent, at a concrete residue size q0."""
-    return series_expand(full_zeta(case, n), degree).at_q(q0)
-
-
-def principal_count_series(
-    case: ExtensionCase, n: int, degree: int, q0: int
-) -> list[int]:
-    """Principal-ideal counts of O_n by index exponent at q = q0."""
-    return series_expand(principal_zeta(case, n), degree).at_q(q0)
+def principal_count_series(principal: RationalFn, degree: int, q0: int) -> list[int]:
+    """Principal-ideal counts by index exponent at q = q0, from the principal
+    zeta function of O_n."""
+    return series_expand(principal, degree).at_q(q0)

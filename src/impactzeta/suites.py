@@ -13,7 +13,8 @@ Three suites:
   full series prefixes, the traveling map), its generator search against
   the multiplier-ring criterion, and, with no formula, the placement of
   every ideal at a vertex of its multiplier level, filling the ball around
-  O_n.
+  O_n.  Its principal and full functions are built once per (case, n) and
+  expanded at every prime.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .orders import (
     classify_type,
     contribution,
     extension_case,
-    ideal_count_series,
     principal_count_series,
     principal_zeta,
     unit_index,
@@ -58,7 +58,7 @@ from .padic import (
     source_and_distance_check,
     traveling,
 )
-from .poly import ONE, BiPoly, RationalFn, x_pow, x_shift_sum
+from .poly import ONE, BiPoly, RationalFn, series_expand, x_pow, x_shift_sum
 from .report import CheckResult, all_passed
 
 ALL_KINDS = (BasinKind.RAMIFIED, BasinKind.UNRAMIFIED, BasinKind.SPLIT)
@@ -159,8 +159,14 @@ def arithmetic_suite(
     primes = DEFAULT_PRIMES if primes is None else primes
     results: list[CheckResult] = []
     for kind in ALL_KINDS:
+        kind_primes = primes.get(kind, ())
+        if not kind_primes:
+            continue
         case = extension_case(kind)
-        for p in primes.get(kind, ()):
+        # One principal and one full function per (case, n), read at every prime.
+        principals = [principal_zeta(case, n) for n in range(n_max + 1)]
+        fulls = [x_shift_sum(principals[n::-1]) for n in range(n_max + 1)]
+        for p in kind_primes:
             inst = make_case(kind, p)
             label = f"{kind.value} p={p}"
             for n in range(n_max + 1):
@@ -201,9 +207,10 @@ def arithmetic_suite(
                     )
                 )
                 # (c) principal and full series prefixes, by index exponent.
+                principal_series = principal_count_series(principals[n], d_bound, p)
                 for check, members, series in (
-                    ("principal-series", principal, principal_count_series(case, n, d_bound, p)),
-                    ("ideal-series", records, ideal_count_series(case, n, d_bound, p)),
+                    ("principal-series", principal, principal_series),
+                    ("ideal-series", records, series_expand(fulls[n], d_bound).at_q(p)),
                 ):
                     by_index = Counter(r.lattice.index_exponent for r in members)
                     results.append(

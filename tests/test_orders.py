@@ -22,7 +22,7 @@ from impactzeta.orders import (
 )
 from impactzeta.poly import ONE, Q, ZERO, RationalFn, q_pow, series_expand, x_pow
 from impactzeta.report import all_passed
-from impactzeta.suites import identity_suite
+from impactzeta.suites import arithmetic_suite, identity_suite
 
 RAM = extension_case(BasinKind.RAMIFIED)
 UNRAM = extension_case(BasinKind.UNRAMIFIED)
@@ -174,21 +174,12 @@ def test_main_theorem_rejects_lists_of_different_lengths():
         check_main_theorem(SPLIT, principals[:3], fulls, layers)
 
 
-def test_identity_suite_builds_each_closed_form_once(monkeypatch):
-    """Neither leaf is memoised, so the suite builds principal_zeta once per
-    (case, n) and layer_genfun_q once per (kind, n), sums the full and basin
-    functions from those lists, and never calls full_zeta or basin_genfun_q,
-    which would rebuild every leaf below n.  All four are counted under every
-    binding in the package; n_max = 45 is past the 128 entries a memo of
-    3 x 41 keys would hold."""
+def _count_calls(monkeypatch, *reals) -> Counter:
+    """Count the calls of each function, keyed by (name, args), under every
+    binding in the package."""
     calls = Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "impactzeta"]
-    for real in (
-        orders.principal_zeta,
-        orders.full_zeta,
-        genfun.layer_genfun_q,
-        genfun.basin_genfun_q,
-    ):
+    for real in reals:
 
         def counted(*args, real=real):
             calls[real.__name__, args] += 1
@@ -198,6 +189,23 @@ def test_identity_suite_builds_each_closed_form_once(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_identity_suite_builds_each_closed_form_once(monkeypatch):
+    """Neither leaf is memoised, so the suite builds principal_zeta once per
+    (case, n) and layer_genfun_q once per (kind, n), sums the full and basin
+    functions from those lists, and never calls full_zeta or basin_genfun_q,
+    which would rebuild every leaf below n.  All four are counted under every
+    binding in the package; n_max = 45 is past the 128 entries a memo of
+    3 x 41 keys would hold."""
+    calls = _count_calls(
+        monkeypatch,
+        orders.principal_zeta,
+        orders.full_zeta,
+        genfun.layer_genfun_q,
+        genfun.basin_genfun_q,
+    )
     for n_max, builds in ((8, 27), (45, 138)):
         calls.clear()
         assert all_passed(identity_suite(n_max))
@@ -207,6 +215,18 @@ def test_identity_suite_builds_each_closed_form_once(monkeypatch):
         assert calls == Counter(leaves)
         per_leaf = Counter(name for name, _ in calls.elements())
         assert per_leaf == {"principal_zeta": builds, "layer_genfun_q": builds}
+
+
+def test_arithmetic_suite_builds_each_principal_function_once(monkeypatch):
+    """The arithmetic suite reads the principal and full series at every prime
+    from one principal function per (case, n): 9 builds for n <= 2 over the
+    default grid of two primes per case, where a build per (case, p, n) and
+    series would make 54."""
+    calls = _count_calls(monkeypatch, orders.principal_zeta)
+    assert all_passed(arithmetic_suite(2, 4))
+    leaves = [("principal_zeta", (case, n)) for case in all_cases() for n in range(3)]
+    assert calls == Counter(leaves)
+    assert sum(calls.values()) == 9
 
 
 def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):

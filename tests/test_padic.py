@@ -22,7 +22,7 @@ from impactzeta.errors import (
     OutsideTruncation,
     UnsupportedPrime,
 )
-from impactzeta.orders import extension_case, principal_count_series, unit_index
+from impactzeta.orders import extension_case, principal_count_series, principal_zeta, unit_index
 from impactzeta.padic import (
     CACHE_SIZE,
     _delta_maps_into,
@@ -465,7 +465,7 @@ def test_enumerate_series_match(ram3, unram3, split3):
         for n in range(2):
             records = enumerate_ideals(inst, n, 5)
             by_c = Counter(r.lattice.index_exponent for r in records if r.principal)
-            series = principal_count_series(case, n, 5, inst.p)
+            series = principal_count_series(principal_zeta(case, n), 5, inst.p)
             assert [by_c.get(d, 0) for d in range(6)] == series
 
 
