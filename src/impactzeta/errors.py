@@ -18,7 +18,12 @@ class UnknownVertex(ImpactZetaError):
 
 
 class LimitExceeded(ImpactZetaError):
-    """A truncated tree or a walk-count BFS would exceed ``building.MAX_VERTICES``."""
+    """A computation would exceed one of the package's size caps.
+
+    A truncated tree or a walk-count BFS above ``building.MAX_VERTICES``, an
+    ideal enumeration above ``padic.MAX_ENUMERATED_LATTICES``, or a scan of
+    coset keys above ``padic.MAX_COSET_REPS``.
+    """
 
 
 class RadiusTooSmall(ImpactZetaError):
@@ -46,10 +51,6 @@ class UnsupportedPrime(ImpactZetaError, ValueError):
 
 class NotInOrderUnit(ImpactZetaError):
     """The element is not a unit of the requested order."""
-
-
-class EnumerationOverflow(ImpactZetaError):
-    """An enumeration would exceed the configured size cap."""
 
 
 class NotAnIdeal(ImpactZetaError):

@@ -43,8 +43,6 @@ reduction condition.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -57,7 +55,7 @@ from .building import (
     way_out_vertex,
 )
 from .errors import (
-    EnumerationOverflow,
+    LimitExceeded,
     NotAnIdeal,
     NotInOrderUnit,
     OutsideTruncation,
@@ -169,73 +167,36 @@ def slope_map(inst: CaseInstance, n: int, u: QuadElem) -> int:
     return (z * winv) % inst.p
 
 
-def _unit_class(inst: CaseInstance, n: int, u: QuadElem) -> tuple[int, int]:
-    """A key for the coset of the unit u of O_0 in O_0^*/O_n^*.
+def coset_reps(inst: CaseInstance, n: int) -> list[QuadElem]:
+    """Representatives of O_0^*/O_n^*, one per coset, from a scan of coset keys.
 
     O_n^* = Z_p^* * (1 + p^n O_0), so units u and v share a coset exactly
-    when u = lambda*v mod p^n for some lambda in Z_p^*.  The key is u mod
-    p^n divided by a unit coordinate: x when x is a unit, otherwise y.
+    when u = lambda*v mod p^n for some lambda in Z_p^*.  Dividing u mod p^n
+    by a unit coordinate (x when x is a unit, otherwise y: p cannot divide
+    both) gives the one element of its coset among the keys
+
+    * 1 + y*Delta, with 0 <= y < p^n, and
+    * x + Delta, with p | x and 0 <= x < p^n.
+
+    The scan keeps the keys of unit norm, with no target count: the number
+    kept is the index [O_0^* : O_n^*].  For n = 0 the quotient is trivial
+    and the one representative is 1.
     """
-    pn = inst.p**n
-    s = pow(u.x if u.x % inst.p else u.y, -1, pn)
-    return (u.x * s % pn, u.y * s % pn)
-
-
-def level0_reps(inst: CaseInstance) -> tuple[QuadElem, ...]:
-    """Coset representatives of O_0^*/O_1^*.
-
-    1 + p*O_0 lies in O_1^*, so every coset meets the units x + y*Delta with
-    0 <= x, y < p.  The search scans all of them and keeps the first unit of
-    each coset, with no target count: the number kept is the index
-    [O_0^* : O_1^*].
-    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if n == 0:
+        return [QuadElem(inst, 1, 0)]
     p = inst.p
-    reps: dict[tuple[int, int], QuadElem] = {}
-    for x in range(p):
-        for y in range(p):
-            cand = QuadElem(inst, x, y)
-            if cand.is_unit():
-                reps.setdefault(_unit_class(inst, 1, cand), cand)
-    return tuple(reps.values())
-
-
-def unit_rep(inst: CaseInstance, level: int, t: int) -> QuadElem:
-    """The coset representative u_t at the given filtration level."""
-    if level == 0:
-        return level0_reps(inst)[t]
-    if not 0 <= t < inst.p:
-        raise ValueError("level >= 1 representatives are indexed by 0..p-1")
-    return QuadElem(inst, 1, t * inst.p**level)
-
-
-def coset_reps(inst: CaseInstance, n: int, d: int) -> list[QuadElem]:
-    """Representatives of O_{n-d}^*/O_n^*: products over index tuples.
-
-    The factors run over levels n-d .. n-1 (level-0 factors from the
-    enumerated base set).  Inequivalence is verified by the coset keys: no
-    two representatives share one.
-    """
-    if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
-    factors = [
-        level0_reps(inst) if level == 0 else [unit_rep(inst, level, t) for t in range(inst.p)]
-        for level in range(n - d, n)
-    ]
-    count = math.prod(map(len, factors))
+    pn = p**n
+    count = pn + pn // p
     if count > MAX_COSET_REPS:
-        raise EnumerationOverflow(
-            f"coset representatives {inst.tag.value} p={inst.p} n={n} d={d}: "
-            f"{count} requested, above MAX_COSET_REPS = {MAX_COSET_REPS}"
+        raise LimitExceeded(
+            f"coset representatives {inst.tag.value} p={p} n={n}: "
+            f"{count} candidate keys, above MAX_COSET_REPS = {MAX_COSET_REPS}"
         )
-    reps = []
-    for combo in itertools.product(*factors):
-        u = QuadElem(inst, 1, 0)
-        for factor in combo:
-            u = u * factor
-        reps.append(u)
-    if len({_unit_class(inst, n, u) for u in reps}) < len(reps):
-        raise AssertionError("coset representatives are not inequivalent")
-    return reps
+    keys = [QuadElem(inst, 1, y) for y in range(pn)]
+    keys += [QuadElem(inst, x, 1) for x in range(0, pn, p)]
+    return [u for u in keys if u.is_unit()]
 
 
 # -- lattices -----------------------------------------------------------
@@ -558,7 +519,7 @@ def _enumerate_core(
     p = inst.p
     total = sum(p**a for k in range(max_contribution + 1) for a in range(k + 1))
     if total > MAX_ENUMERATED_LATTICES:
-        raise EnumerationOverflow(
+        raise LimitExceeded(
             f"ideal enumeration {inst.tag.value} p={p} n={n} "
             f"max-contribution={max_contribution}: {total} candidate lattices, "
             f"above MAX_ENUMERATED_LATTICES = {MAX_ENUMERATED_LATTICES}"

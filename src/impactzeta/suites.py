@@ -170,8 +170,8 @@ def arithmetic_suite(
             inst = make_case(kind, p)
             label = f"{kind.value} p={p}"
             for n in range(n_max + 1):
-                # (a) unit indices by explicit coset enumeration.
-                reps = coset_reps(inst, n, n)
+                # (a) unit indices by counting coset keys of unit norm.
+                reps = coset_reps(inst, n)
                 want = unit_index(case, n).subs_q(p).as_int()
                 results.append(
                     CheckResult(

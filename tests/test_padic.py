@@ -15,8 +15,8 @@ from impactzeta.building import (
     way_out_vertex,
 )
 from impactzeta.errors import (
-    EnumerationOverflow,
     ImpactZetaError,
+    LimitExceeded,
     NotAnIdeal,
     NotInOrderUnit,
     OutsideTruncation,
@@ -30,7 +30,6 @@ from impactzeta.padic import (
     _exact_type,
     _find_generator,
     _ideal_class,
-    _unit_class,
     CaseInstance,
     ClassAtlas,
     LatticeHNF,
@@ -43,7 +42,6 @@ from impactzeta.padic import (
     in_order_unit,
     is_ideal,
     lattice_distance,
-    level0_reps,
     make_case,
     multiplier_level,
     order_lattice,
@@ -51,7 +49,6 @@ from impactzeta.padic import (
     slope_map,
     source_and_distance_check,
     traveling,
-    unit_rep,
 )
 from impactzeta.report import all_passed
 import impactzeta
@@ -127,15 +124,15 @@ def test_enumeration_overflow_guard():
         r"ideal enumeration ramified p=2 n=0 max-contribution=22: "
         r"\d+ candidate lattices, above MAX_ENUMERATED_LATTICES = 2000000"
     )
-    with pytest.raises(EnumerationOverflow, match=message):
+    with pytest.raises(LimitExceeded, match=message):
         enumerate_ideals(inst, 0, 22)
-    # 3^11 = 177147 products of level representatives.
+    # 3^11 + 3^10 = 236196 candidate keys, refused before the scan.
     message = (
-        r"coset representatives ramified p=3 n=11 d=11: "
-        r"177147 requested, above MAX_COSET_REPS = 100000"
+        r"coset representatives ramified p=3 n=11: "
+        r"236196 candidate keys, above MAX_COSET_REPS = 100000"
     )
-    with pytest.raises(EnumerationOverflow, match=message):
-        coset_reps(make_case(RAM, 3), 11, 11)
+    with pytest.raises(LimitExceeded, match=message):
+        coset_reps(make_case(RAM, 3), 11)
 
 
 # -- unit filtration ----------------------------------------------------------
@@ -168,43 +165,37 @@ def test_slope_map_is_homomorphism(ram3, unram3, split3):
             assert (slope_map(inst, n, u) == 0) == in_order_unit(inst, n + 1, u)
 
 
-def test_level0_reps_counts(ram3, unram3, split3):
-    assert len(level0_reps(ram3)) == 3
-    assert len(level0_reps(unram3)) == 4
-    assert len(level0_reps(split3)) == 2
-
-
-def test_level0_reps_unramified_p2():
-    # F_4^* / F_2^* has order 3: the units 1, Delta and 1 + Delta.
-    inst = make_case(UNRAM, 2)
-    assert level0_reps(inst) == (QuadElem(inst, 0, 1), QuadElem(inst, 1, 0), QuadElem(inst, 1, 1))
-
-
-def test_unit_representative_records(ram3, unram3):
-    # Level 1, index t = 2: the representative 1 + 2*p*Delta.
-    rep = unit_rep(ram3, 1, 2)
-    assert rep == QuadElem(ram3, 1, 6)
-    assert in_order_unit(ram3, 1, rep)
-    for t in range(4):
-        assert in_order_unit(unram3, 0, unit_rep(unram3, 0, t))
-
-
 def test_coset_reps_counts(ram3, unram3, split3):
-    assert len(coset_reps(ram3, 2, 2)) == 9
-    assert len(coset_reps(unram3, 1, 1)) == 4
-    assert len(coset_reps(split3, 1, 1)) == 2
-    # Partial depth: levels >= 1 contribute p each.
-    assert len(coset_reps(ram3, 2, 1)) == 3
+    assert coset_reps(ram3, 0) == [QuadElem(ram3, 1, 0)]
+    assert len(coset_reps(ram3, 2)) == 9
+    assert len(coset_reps(unram3, 1)) == 4
+    assert len(coset_reps(split3, 1)) == 2
+    # F_4^* / F_2^* has order 3: the keys 1, 1 + Delta and Delta.
+    unram2 = make_case(UNRAM, 2)
+    assert coset_reps(unram2, 1) == [
+        QuadElem(unram2, 1, 0), QuadElem(unram2, 1, 1), QuadElem(unram2, 0, 1)
+    ]
+    with pytest.raises(ValueError, match="n >= 0"):
+        coset_reps(ram3, -1)
+    # [O_{n-d}^* : O_n^*] = p^d: each level past the first adds a factor p.
+    for inst in (ram3, unram3, split3, make_case(SPLIT, 2)):
+        p = inst.p
+        for n in range(2, 5):
+            for d in range(1, n):
+                assert len(coset_reps(inst, n)) == p**d * len(coset_reps(inst, n - d))
 
 
 def test_coset_counts_match_unit_index_formula():
-    for tag, p in [(RAM, 2), (RAM, 3), (UNRAM, 2), (UNRAM, 3), (UNRAM, 5), (SPLIT, 2), (SPLIT, 3)]:
+    for tag, p in [
+        (RAM, 2), (RAM, 3), (RAM, 5), (RAM, 7),
+        (UNRAM, 2), (UNRAM, 3), (UNRAM, 5), (UNRAM, 7),
+        (SPLIT, 2), (SPLIT, 3), (SPLIT, 5), (SPLIT, 7),
+    ]:
         inst = make_case(tag, p)
         case = extension_case(tag)
-        # Products of n unit factors grow as exact integers; n <= 4 for p <= 3.
-        for n in range(5 if p <= 3 else 3):
+        for n in range(6):
             formula = unit_index(case, n).subs_q(p).as_int()
-            assert len(coset_reps(inst, n, n)) == formula
+            assert len(coset_reps(inst, n)) == formula, (tag, p, n)
 
 
 CASES = [(RAM, 2), (RAM, 3), (UNRAM, 3), (UNRAM, 5), (SPLIT, 2), (SPLIT, 3), (UNRAM, 2)]
@@ -221,41 +212,37 @@ def _same_coset(inst, n, u, v):
 
 @pytest.mark.parametrize("tag,p", CASES, ids=[f"{t.value}-{p}" for t, p in CASES])
 def test_unit_class_key_matches_pairwise_quotient_test(tag, p):
+    # Exhaustive: every unit x + y*Delta with 0 <= x, y < p^n lies in the
+    # coset of exactly one coset key, by the pairwise quotient test.  Every
+    # unit of O_0 is congruent mod p^n to one of these, and 1 + p^n O_0 lies
+    # in O_n^*, so the keys reach every coset, once.
     inst = make_case(tag, p)
     for n in (1, 2) if p <= 3 else (1,):
         pn = p**n
-        units = [
-            QuadElem(inst, x, y)
-            for x in range(pn)
-            for y in range(pn)
-            if QuadElem(inst, x, y).is_unit()
-        ]
-        for u in units:
-            for v in units:
-                same = _unit_class(inst, n, u) == _unit_class(inst, n, v)
-                assert same == _same_coset(inst, n, u, v), (n, u, v)
-    # Pairs built equivalent, u * lambda * (1 + p^n w), with large coordinates.
+        reps = coset_reps(inst, n)
+        for x in range(pn):
+            for y in range(pn):
+                u = QuadElem(inst, x, y)
+                if u.is_unit():
+                    hits = [v for v in reps if _same_coset(inst, n, u, v)]
+                    assert len(hits) == 1, (n, u, hits)
+    # The referee accepts pairs built equivalent, u * lambda * (1 + p^n w),
+    # with large coordinates.
     for n in (1, 3):
-        for u in coset_reps(inst, n, n)[:20]:
+        for u in coset_reps(inst, n)[:20]:
             for lam, w in [(1, QuadElem(inst, 5, 7)), (p * p - 1, QuadElem(inst, -3, 11))]:
                 v = u * QuadElem(inst, lam, 0) * QuadElem(inst, 1 + p**n * w.x, p**n * w.y)
                 assert _same_coset(inst, n, u, v)
-                assert _unit_class(inst, n, u) == _unit_class(inst, n, v)
 
 
 @pytest.mark.parametrize("tag,p", CASES, ids=[f"{t.value}-{p}" for t, p in CASES])
 def test_coset_reps_match_the_pairwise_scan(tag, p):
+    # The keys are units of O_0 and pairwise inequivalent, past the depth
+    # that the exhaustive test above reaches.
     inst = make_case(tag, p)
-    # Level 0 keeps, in scan order, each unit inequivalent to every kept one.
-    scan = []
-    for x in range(p):
-        for y in range(p):
-            u = QuadElem(inst, x, y)
-            if u.is_unit() and not any(_same_coset(inst, 1, u, r) for r in scan):
-                scan.append(u)
-    assert level0_reps(inst) == tuple(scan)
     for n in range(4 if p <= 3 else 3):
-        reps = coset_reps(inst, n, n)
+        reps = coset_reps(inst, n)
+        assert all(in_order_unit(inst, 0, u) for u in reps)
         for i, u in enumerate(reps):
             assert not any(_same_coset(inst, n, u, v) for v in reps[:i])
 
@@ -329,29 +316,28 @@ def _acted_class(inst, u, base):
 
 
 def test_unit_action_fixes_basin(ram3, unram3, split3):
-    # The filtration units have unit norm (the determinant of multiplication
-    # by u) and fix the anchor classes.
+    # The coset representatives have unit norm (the determinant of
+    # multiplication by u) and fix the anchor classes.
+    def units(inst):
+        return coset_reps(inst, 1) + coset_reps(inst, 2)
+
     for inst in (ram3, unram3, split3):
         o0 = order_lattice(inst.p, 0)
-        for level in (0, 1, 2):
-            size = len(level0_reps(inst)) if level == 0 else inst.p
-            for t in range(size):
-                u = unit_rep(inst, level, t)
-                assert u.norm() % inst.p != 0
-                acted = _acted_class(inst, u, o0)
-                assert lattice_distance(inst, acted, o0) == 0
+        for u in units(inst):
+            assert u.norm() % inst.p != 0
+            acted = _acted_class(inst, u, o0)
+            assert lattice_distance(inst, acted, o0) == 0
     # Ramified units also fix the second anchor; split units fix every
     # apartment class.
     pi = second_anchor_lattice(ram3.p)
-    for t in range(3):
-        u = unit_rep(ram3, 0, t)
+    for u in units(ram3):
         acted = _acted_class(ram3, u, pi)
         assert lattice_distance(ram3, acted, pi) == 0
     for j in (-2, 1, 3):
         target = apartment_lattice(split3, j)
-        u = unit_rep(split3, 1, 1)
-        acted = _acted_class(split3, u, target)
-        assert lattice_distance(split3, acted, target) == 0
+        for u in units(split3):
+            acted = _acted_class(split3, u, target)
+            assert lattice_distance(split3, acted, target) == 0
 
 
 # -- ideal enumeration --------------------------------------------------------
