@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import LimitExceeded, RadiusTooSmall, UnknownVertex
+from .errors import InvariantViolation, LimitExceeded, RadiusTooSmall, UnknownVertex
 
 # Largest truncated tree, and most BFS states one distance profile may visit.
 MAX_VERTICES = 200_000
@@ -272,7 +272,7 @@ def _anchor_separation(kind: BasinKind, a: int, b: int) -> int:
         return 1
     if kind is BasinKind.SPLIT:
         return abs(a - b)
-    raise AssertionError("unramified basin has a single anchor")
+    raise InvariantViolation("unramified basin has a single anchor")
 
 
 def distance(tree: TruncatedTree, u: VertexAddr, v: VertexAddr) -> int:

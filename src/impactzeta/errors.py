@@ -63,3 +63,12 @@ class OutsideTruncation(ImpactZetaError):
 
 class ClosedFormMismatch(ImpactZetaError):
     """Two closed forms for the same quantity disagree."""
+
+
+class InvariantViolation(ImpactZetaError):
+    """A fact the construction guarantees failed at run time.
+
+    Raised in place of a bare ``AssertionError``, so the command line
+    reports it as one ``error:`` line, exit status 1, like any other
+    package error.
+    """

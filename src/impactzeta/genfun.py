@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .building import BasinKind, BuildingSpec
 from .errors import TruncationInsufficient, UnsupportedHeight
-from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sum
+from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sums
 from .report import CheckResult
 
 _ONE_MINUS_X = ONE - x_pow(1)
@@ -73,7 +73,7 @@ def basin_genfun_q(kind: BasinKind, n: int) -> RationalFn:
     """Basin generating function from O_n: sum_i X^i * layer(n - i)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return x_shift_sum([layer_genfun_q(kind, n - i) for i in range(n + 1)])
+    return x_shift_sums([layer_genfun_q(kind, k) for k in range(n + 1)])[-1]
 
 
 def layer_genfun(spec: BuildingSpec, n: int) -> RationalFn:
@@ -88,13 +88,14 @@ def geodesic_genfun_q(kind: BasinKind, walk: RationalFn) -> RationalFn:
     """Geodesic flavor: (1 - X^2) times the layer or basin function ``walk``.
 
     A polynomial for the finite basins; denominator (1 - X) in the split
-    case.  The reduction is done by exact division, so a failed identity
-    raises rather than returning an unreduced ratio.
+    case.  The walk numerator is multiplied by the cofactor (1 - X^2) / den,
+    with den the walk denominator, resp. (1 - X) in the split case.  That
+    cofactor comes from exact division, so a denominator that does not
+    divide 1 - X^2 raises rather than returning an unreduced ratio.
     """
-    num2 = _ONE_MINUS_X2 * walk.num
     if kind is BasinKind.SPLIT:
-        return RationalFn(exact_div(num2, _ONE_MINUS_X), _ONE_MINUS_X)
-    return RationalFn(exact_div(num2, walk.den), ONE)
+        return RationalFn(walk.num * exact_div(_ONE_MINUS_X2, _ONE_MINUS_X), _ONE_MINUS_X)
+    return RationalFn(walk.num * exact_div(_ONE_MINUS_X2, walk.den), ONE)
 
 
 def reachable_count_closed(spec: BuildingSpec, n: int, d: int) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .building import BasinKind
 from .errors import ArityMismatch
-from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sum
+from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sums
 from .report import CheckResult
 
 
@@ -143,10 +143,14 @@ def principal_zeta(case: ExtensionCase, n: int) -> RationalFn:
 
 
 def full_zeta(case: ExtensionCase, n: int) -> RationalFn:
-    """The full ideal zeta of O_n, over V: full(n) = sum_i X^i principal(n - i)."""
+    """The full ideal zeta of O_n, over V: full(n) = sum_i X^i principal(n - i).
+
+    The last prefix of ``poly.x_shift_sums`` over principal(0..n), which
+    unrolls full(k) = principal(k) + X * full(k - 1).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return x_shift_sum([principal_zeta(case, n - i) for i in range(n + 1)])
+    return x_shift_sums([principal_zeta(case, k) for k in range(n + 1)])[-1]
 
 
 def numerator_poly(case: ExtensionCase, n: int) -> BiPoly:

@@ -55,6 +55,7 @@ from .building import (
     way_out_vertex,
 )
 from .errors import (
+    InvariantViolation,
     LimitExceeded,
     NotAnIdeal,
     NotInOrderUnit,
@@ -84,7 +85,7 @@ def _smallest_nonresidue(p: int) -> int:
     for eps in range(2, p):
         if eps not in squares:
             return eps
-    raise AssertionError("odd primes always have a nonresidue")
+    raise InvariantViolation("odd primes always have a nonresidue")
 
 
 @dataclass(frozen=True)
@@ -318,7 +319,7 @@ def neighbor_classes(inst: CaseInstance, L: LatticeHNF) -> list[LatticeHNF]:
             seen.add(cls)
             out.append(cls)
     if len(out) != p + 1:
-        raise AssertionError("index-p sublattices did not give p+1 classes")
+        raise InvariantViolation("index-p sublattices did not give p+1 classes")
     return out
 
 
@@ -353,7 +354,7 @@ class ClassAtlas:
         while queue:
             addr, lat, excluded = queue.popleft()
             if lat in self._by_class:
-                raise AssertionError(f"class {lat} registered twice")
+                raise InvariantViolation(f"class {lat} registered twice")
             self._by_class[lat] = addr
             self._by_addr[addr] = lat
             if addr.height >= tree.radius:
@@ -362,7 +363,7 @@ class ClassAtlas:
             if addr.anchor == 0 and not any(addr.word):
                 nxt = order_lattice(p, addr.height + 1)
                 if nxt not in children:
-                    raise AssertionError("main-sequence class missing among children")
+                    raise InvariantViolation("main-sequence class missing among children")
                 children.remove(nxt)
                 children.insert(0, nxt)
             queue.extend(
@@ -557,7 +558,7 @@ def _confirm_generator(inst: CaseInstance, n: int, L: LatticeHNF, u: int, v: int
     """Check alpha*O_n = I by Hermite-form comparison (exact integers)."""
     H = hnf(inst.p, *_mul_matrix(inst, n, u, v))
     if H != L:
-        raise AssertionError(f"claimed generator spans {H}, not {L}")
+        raise InvariantViolation(f"claimed generator spans {H}, not {L}")
 
 
 def _exact_type(inst: CaseInstance, x: int, y: int) -> tuple[int, ...]:
@@ -624,7 +625,7 @@ def traveling(inst: CaseInstance, n: int, J: LatticeHNF) -> LatticeHNF:
         raise NotAnIdeal(f"{J} is not an ideal of level {n}")
     out = LatticeHNF(J.p, J.a_exp + 1, J.p * J.c, J.b_exp)
     if not is_ideal(inst, n + 1, out):
-        raise AssertionError("traveling image is not an ideal")
+        raise InvariantViolation("traveling image is not an ideal")
     return out
 
 

@@ -8,10 +8,13 @@ sorted by ``(x_exponent, q_exponent)`` with zero coefficients dropped, so
 structural equality of term tuples is mathematical equality.
 
 Cost model: only ``BiPoly(...)``, ``const`` and ``term`` canonicalise and
-validate.  Other results are canonical by construction: a product, a sum or
-a shifted sum accumulates in one dict pass and sorts its nonzero keys once,
-negation, ``subs_q`` and ``x_coefficients`` keep their order, and ``exact_div``
-pops each leading term from a heap, O(t log t) for t remainder terms.
+validate.  Other results are canonical by construction: a product or a sum
+accumulates in one dict pass and sorts its nonzero keys once, ``x_pow`` and
+``q_pow`` build their one term directly, negation, ``subs_q`` and
+``x_coefficients`` keep their order, and ``exact_div`` pops each leading term
+from a heap, O(t log t) for t remainder terms.  ``x_shift_sums`` builds every
+prefix of a shifted sum in one pass over a running dict, with one sort per
+prefix, so the n + 1 sums of n + 1 leaves cost what their output does.
 """
 
 from __future__ import annotations
@@ -183,11 +186,15 @@ X = BiPoly.term(0, 1)
 
 
 def x_pow(k: int) -> BiPoly:
-    return BiPoly.term(0, k)
+    if k < 0:
+        raise ValueError("exponents must be nonnegative")
+    return _trusted(((0, k, 1),))
 
 
 def q_pow(k: int) -> BiPoly:
-    return BiPoly.term(k, 0)
+    if k < 0:
+        raise ValueError("exponents must be nonnegative")
+    return _trusted(((k, 0, 1),))
 
 
 def exact_div(a: BiPoly, b: BiPoly) -> BiPoly:
@@ -279,13 +286,26 @@ class RationalFn:
         return f"({self.num}) / ({self.den})"
 
 
-def x_shift_sum(fs: list[RationalFn]) -> RationalFn:
-    """sum_i X^i * fs[i] for a nonempty list whose members share one denominator."""
-    den, acc = fs[0].den, {}
-    for i, f in enumerate(fs):
+def x_shift_sums(fs: list[RationalFn]) -> list[RationalFn]:
+    """Every prefix S_n = sum_i X^i * fs[n - i], all over the denominator of fs[0].
+
+    One pass, S_n = fs[n] + X * S_{n-1}: the running dict holds X^{-n} S_n,
+    keyed by ``(x_exp - n, q_exp)``, so a new leaf adds its terms in place
+    and a snapshot shifts its sorted keys back by n, which keeps their order.
+    """
+    sums: list[RationalFn] = []
+    acc: dict[tuple[int, int], int] = {}
+    for n, f in enumerate(fs):
         for qe, xe, c in f.num.terms:
-            acc[xe + i, qe] = acc.get((xe + i, qe), 0) + c
-    return RationalFn(_trusted(_sorted_terms(acc)), den)
+            key = (xe - n, qe)
+            c += acc.get(key, 0)
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+        terms = tuple([(qe, xe + n, acc[xe, qe]) for xe, qe in sorted(acc)])
+        sums.append(RationalFn(_trusted(terms), fs[0].den))
+    return sums
 
 
 @dataclass(frozen=True)

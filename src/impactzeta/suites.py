@@ -5,8 +5,9 @@ Three suites:
 * identities: symbolic checks (numerator families, the correspondence
   between principal zeta and layer generating functions, both recurrences,
   the geodesic relation).  The suite builds each leaf once per case or
-  basin and height, sums the full and basin functions from those lists with
-  ``poly.x_shift_sum``, and hands them to the checks, which only compare.
+  basin and height, sums the full and basin functions of every height in
+  one ``poly.x_shift_sums`` pass per case or basin, and hands them to the
+  checks, which only compare.
 * oracle: height-pruned BFS counts against closed forms built after every BFS.
 * arithmetic: the p-adic enumeration oracle against the type-counting
   results (unit indices, type histograms and contributions, principal and
@@ -58,7 +59,7 @@ from .padic import (
     source_and_distance_check,
     traveling,
 )
-from .poly import ONE, BiPoly, RationalFn, series_expand, x_pow, x_shift_sum
+from .poly import ONE, BiPoly, RationalFn, series_expand, x_pow, x_shift_sums
 from .report import CheckResult, all_passed
 
 ALL_KINDS = (BasinKind.RAMIFIED, BasinKind.UNRAMIFIED, BasinKind.SPLIT)
@@ -72,9 +73,8 @@ DEFAULT_PRIMES = {
 
 def _walk_functions(kinds: Iterable[BasinKind], n_max: int):
     """The layer and basin functions of O_n per basin, for n = 0..n_max."""
-    heights = range(n_max + 1)
-    layers = {kind: [layer_genfun_q(kind, n) for n in heights] for kind in kinds}
-    return layers, {k: [x_shift_sum(ls[n::-1]) for n in heights] for k, ls in layers.items()}
+    layers = {kind: [layer_genfun_q(kind, n) for n in range(n_max + 1)] for kind in kinds}
+    return layers, {k: x_shift_sums(ls) for k, ls in layers.items()}
 
 
 def identity_suite(n_max: int) -> list[CheckResult]:
@@ -82,7 +82,7 @@ def identity_suite(n_max: int) -> list[CheckResult]:
     results: list[CheckResult] = []
     for case in all_cases():
         principals = [principal_zeta(case, n) for n in range(n_max + 1)]
-        fulls = [x_shift_sum(principals[n::-1]) for n in range(n_max + 1)]
+        fulls = x_shift_sums(principals)
         results.extend(check_main_theorem(case, principals, fulls, layers[case.tag]))
         results.extend(check_zeta_recurrence(case, principals, fulls))
     for kind in ALL_KINDS:
@@ -165,7 +165,7 @@ def arithmetic_suite(
         case = extension_case(kind)
         # One principal and one full function per (case, n), read at every prime.
         principals = [principal_zeta(case, n) for n in range(n_max + 1)]
-        fulls = [x_shift_sum(principals[n::-1]) for n in range(n_max + 1)]
+        fulls = x_shift_sums(principals)
         for p in kind_primes:
             inst = make_case(kind, p)
             label = f"{kind.value} p={p}"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from impactzeta import building
+from impactzeta import building, padic
 from impactzeta.cli import main, poly_from_json, poly_to_json
 from impactzeta.orders import full_zeta, all_cases
 from impactzeta.poly import ONE, Q, q_pow, x_pow
@@ -330,6 +330,23 @@ def test_vertex_cap_bounds_the_ball(capsys, monkeypatch):
         "error: truncated tree split m=3 radius=3 halfwidth=3: "
         "189 vertices, above MAX_VERTICES = 100\n"
     )
+
+
+def test_invariant_violation_is_one_error_line(capsys, monkeypatch):
+    real = padic._confirm_generator
+    # Each claimed generator scaled by p spans p*I, never I.
+    monkeypatch.setattr(
+        padic,
+        "_confirm_generator",
+        lambda inst, n, L, u, v: real(inst, n, L, inst.p * u, inst.p * v),
+    )
+    padic._enumerate_core.cache_clear()
+    code, out, err = run(
+        capsys, "enumerate", "--case", "ramified", "--p", "3", "-n", "1", "--max-contribution", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: claimed generator spans") and err.count("\n") == 1
 
 
 def test_verify_all_quick(capsys):

@@ -11,7 +11,7 @@ from impactzeta.building import (
     distance_profile,
     way_out_vertex,
 )
-from impactzeta.errors import TruncationInsufficient, UnsupportedHeight
+from impactzeta.errors import NotDivisible, TruncationInsufficient, UnsupportedHeight
 from impactzeta.genfun import (
     basin_genfun,
     basin_genfun_q,
@@ -24,7 +24,7 @@ from impactzeta.genfun import (
     reachable_count_closed,
     reachable_count_oracle,
 )
-from impactzeta.poly import ONE, RationalFn, series_expand, x_pow
+from impactzeta.poly import ONE, RationalFn, exact_div, series_expand, x_pow
 from impactzeta.report import all_passed
 
 UNRAM = BasinKind.UNRAMIFIED
@@ -234,6 +234,26 @@ def _walks(kind, n_max):
 def test_geodesic_relation_symbolic():
     for kind in (UNRAM, RAM, SPLIT):
         assert all_passed(check_geodesic_q(kind, *_walks(kind, 8)))
+
+
+@pytest.mark.parametrize("kind", [UNRAM, RAM, SPLIT])
+def test_geodesic_cofactor_equals_dividing_the_product(kind):
+    """Referee: the geodesic flavour as (1 - X^2) * num divided by den, with
+    den the walk denominator, resp. 1 - X in the split case."""
+    one_minus_x2 = ONE - x_pow(2)
+    for walks in _walks(kind, 12):
+        for walk in walks:
+            den = ONE - x_pow(1) if kind is SPLIT else walk.den
+            geo = geodesic_genfun_q(kind, walk)
+            assert geo.num == exact_div(one_minus_x2 * walk.num, den)
+            assert geo.den == (den if kind is SPLIT else ONE)
+
+
+@pytest.mark.parametrize("kind", [UNRAM, RAM])
+def test_geodesic_of_a_finite_basin_walk_over_a_cubed_tail_raises(kind):
+    walk = RationalFn(layer_genfun_q(kind, 3).num, (ONE - x_pow(1)) ** 3)
+    with pytest.raises(NotDivisible):
+        geodesic_genfun_q(kind, walk)
 
 
 def test_recurrence_reports():

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from impactzeta import genfun, orders
+from impactzeta import genfun, orders, poly
 from impactzeta.building import BasinKind
 from impactzeta.errors import ArityMismatch
 from impactzeta.orders import (
@@ -174,21 +174,26 @@ def test_main_theorem_rejects_lists_of_different_lengths():
         check_main_theorem(SPLIT, principals[:3], fulls, layers)
 
 
+def _patch_bindings(monkeypatch, real, replacement):
+    """Replace the function ``real`` under every binding in the package."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "impactzeta"]
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, key, replacement)
+
+
 def _count_calls(monkeypatch, *reals) -> Counter:
     """Count the calls of each function, keyed by (name, args), under every
     binding in the package."""
     calls = Counter()
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "impactzeta"]
     for real in reals:
 
         def counted(*args, real=real):
             calls[real.__name__, args] += 1
             return real(*args)
 
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, key, counted)
+        _patch_bindings(monkeypatch, real, counted)
     return calls
 
 
@@ -227,6 +232,28 @@ def test_arithmetic_suite_builds_each_principal_function_once(monkeypatch):
     leaves = [("principal_zeta", (case, n)) for case in all_cases() for n in range(3)]
     assert calls == Counter(leaves)
     assert sum(calls.values()) == 9
+
+
+def test_suites_sum_every_height_in_one_kernel_pass(monkeypatch):
+    """identity_suite sums the full and basin functions of every height in one
+    x_shift_sums pass per case and per basin, 6 at any n_max, where a pass
+    per height would make 6 (n_max + 1) and the suite cubic in n_max; the
+    arithmetic suite makes one pass per case."""
+    lengths = []
+    real = poly.x_shift_sums
+
+    def counted(fs):
+        lengths.append(len(fs))
+        return real(fs)
+
+    _patch_bindings(monkeypatch, real, counted)
+    for n_max in (8, 32):
+        lengths.clear()
+        assert all_passed(identity_suite(n_max))
+        assert lengths == [n_max + 1] * 6
+    lengths.clear()
+    assert all_passed(arithmetic_suite(2, 4))
+    assert lengths == [3] * 3
 
 
 def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):

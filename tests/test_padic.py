@@ -16,6 +16,7 @@ from impactzeta.building import (
 )
 from impactzeta.errors import (
     ImpactZetaError,
+    InvariantViolation,
     LimitExceeded,
     NotAnIdeal,
     NotInOrderUnit,
@@ -25,6 +26,7 @@ from impactzeta.errors import (
 from impactzeta.orders import extension_case, principal_count_series, principal_zeta, unit_index
 from impactzeta.padic import (
     CACHE_SIZE,
+    _confirm_generator,
     _delta_maps_into,
     _enumerate_core,
     _exact_type,
@@ -523,6 +525,16 @@ def test_generator_search_proves_non_principal(ram3):
     # As ideals of O_2, p^2*O_0 has level 0 and p*O_1 (traveled) level 1.
     assert multiplier_level(ram3, 2, LatticeHNF(3, 2, 0, 0)) == 0
     assert multiplier_level(ram3, 2, traveling(ram3, 1, O1)) == 1
+
+
+def test_a_wrong_generator_is_an_invariant_violation(ram3):
+    O1 = LatticeHNF(3, 0, 0, 0)
+    _confirm_generator(ram3, 1, O1, 1, 0)
+    # 3 spans 3*O_1, not O_1.
+    with pytest.raises(InvariantViolation, match="claimed generator spans"):
+        _confirm_generator(ram3, 1, O1, 3, 0)
+    assert issubclass(InvariantViolation, ImpactZetaError)
+    assert not issubclass(InvariantViolation, AssertionError)
 
 
 def test_vertex_layer_reach_at_n3():

@@ -1,10 +1,11 @@
 """The Z[q, X] kernel builds canonical results without re-canonicalising them.
 
-Only the public constructors run ``_canonical``; products, sums, shifted
-sums (``x_shift_sum``), negation, ``subs_q``, ``x_coefficients`` and the
+Only the public constructors run ``_canonical``; products, sums, the
+monomials ``x_pow`` and ``q_pow``, the prefixes of shifted sums
+(``x_shift_sums``), negation, ``subs_q``, ``x_coefficients`` and the
 ``exact_div`` quotient are built in canonical order directly.  The tests
 below hold each of those results to ``_canonical``, keep the left fold as
-the referee for ``x_shift_sum`` and the scan-the-remainder long division as
+the referee for ``x_shift_sums`` and the scan-the-remainder long division as
 the referee for the heap-ordered ``exact_div``, and hold
 ``RationalFn.__eq__`` over a shared denominator to cross-multiplication.
 """
@@ -16,7 +17,18 @@ from hypothesis import assume, example, given, strategies as st
 
 from impactzeta import poly
 from impactzeta.errors import NotDivisible
-from impactzeta.poly import ONE, Q, X, ZERO, BiPoly, RationalFn, exact_div, x_pow, x_shift_sum
+from impactzeta.poly import (
+    ONE,
+    Q,
+    X,
+    ZERO,
+    BiPoly,
+    RationalFn,
+    exact_div,
+    q_pow,
+    x_pow,
+    x_shift_sums,
+)
 
 
 def referee_div(a: BiPoly, b: BiPoly) -> BiPoly:
@@ -127,14 +139,32 @@ def test_public_constructors_still_validate():
 
 
 @given(st.lists(bipolys, min_size=1, max_size=6), nonzero)
-def test_x_shift_sum_is_the_left_fold_without_canonicalising(nums, den):
+def test_x_shift_sums_are_the_left_folds_without_canonicalising(nums, den):
     fs = [RationalFn(num, den) for num in nums]
     with mock.patch.object(poly, "_canonical", side_effect=poly._canonical) as spy:
-        total = x_shift_sum(fs)
+        sums = x_shift_sums(fs)
     assert spy.call_count == 0
-    assert total.den is den
-    assert total.num == sum((x_pow(i) * num for i, num in enumerate(nums)), BiPoly())
-    assert_canonical(total.num)
+    assert len(sums) == len(fs)
+    for n, total in enumerate(sums):
+        assert total.den is fs[0].den
+        assert total.num == sum((x_pow(i) * nums[n - i] for i in range(n + 1)), BiPoly())
+        assert_canonical(total.num)
+
+
+def test_x_shift_sums_of_no_leaves_is_empty():
+    assert x_shift_sums([]) == []
+
+
+def test_monomials_are_built_without_canonicalising():
+    with mock.patch.object(poly, "_canonical", side_effect=poly._canonical) as spy:
+        monomials = [(x_pow(k), q_pow(k)) for k in range(6)]
+    assert spy.call_count == 0
+    for k, (xk, qk) in enumerate(monomials):
+        assert xk.terms == BiPoly.term(0, k).terms == ((0, k, 1),)
+        assert qk.terms == BiPoly.term(k, 0).terms == ((k, 0, 1),)
+    for power in (x_pow, q_pow):
+        with pytest.raises(ValueError, match="nonnegative"):
+            power(-1)
 
 
 # -- equality of rational functions -----------------------------------------------

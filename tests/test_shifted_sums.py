@@ -1,11 +1,12 @@
 """The closed-form sums of shifted polynomials, against the left fold.
 
 ``basin_genfun_q`` and ``full_zeta`` sum X^i times a leaf function through
-``poly.x_shift_sum``, and the low-type sums are sum_k q^k X^{2k}, built as
-one term list and canonicalised once.  The referees below rebuild every
-sum as the left fold ``sum(..., BiPoly())``, which canonicalises each
-partial sum, and the guards count canonicalisations to keep the shifted
-sum of built leaves from sliding back into that fold or into a re-sort.
+``poly.x_shift_sums``, which builds the sums of every height in one pass,
+and the low-type sums are sum_k q^k X^{2k}, built as one term list and
+canonicalised once.  The referees below rebuild every sum as the left fold
+``sum(..., BiPoly())``, which canonicalises each partial sum, and the guards
+count canonicalisations to keep the shifted sums of built leaves from
+sliding back into that fold or into a re-sort.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from impactzeta import poly
 from impactzeta.building import BasinKind
 from impactzeta.genfun import _plateau_q, basin_genfun_q, layer_genfun_q, tail_denominator
 from impactzeta.orders import all_cases, full_zeta, numerator_poly, principal_zeta
-from impactzeta.poly import ONE, BiPoly, RationalFn, q_pow, x_pow, x_shift_sum
+from impactzeta.poly import ONE, BiPoly, RationalFn, q_pow, x_pow, x_shift_sums
 from impactzeta.suites import ALL_KINDS, line_fixture_suite
 
 MAX_N = 12
@@ -97,7 +98,7 @@ def canonical_calls(monkeypatch, build):
 
 def shift_sum_canonical_calls(monkeypatch, leaves):
     """Canonicalisations of the shifted sums of leaves[:9] and leaves[:33]."""
-    return [canonical_calls(monkeypatch, lambda: x_shift_sum(leaves[n::-1])) for n in (8, 32)]
+    return [canonical_calls(monkeypatch, lambda: x_shift_sums(leaves[: n + 1])) for n in (8, 32)]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
