@@ -151,10 +151,6 @@ def test_x_shift_sums_are_the_left_folds_without_canonicalising(nums, den):
         assert_canonical(total.num)
 
 
-def test_x_shift_sums_of_no_leaves_is_empty():
-    assert x_shift_sums([]) == []
-
-
 def test_monomials_are_built_without_canonicalising():
     with mock.patch.object(poly, "_canonical", side_effect=poly._canonical) as spy:
         monomials = [(x_pow(k), q_pow(k)) for k in range(6)]
