@@ -373,46 +373,67 @@ def test_enumerate_histogram_unramified():
 
 @pytest.mark.parametrize("tag", [RAM, UNRAM, SPLIT])
 def test_scan_visits_every_reduced_hermite_form_once(monkeypatch, tag):
-    p, bound = 3, 4
-    inst = make_case(tag, p)
+    # n = 0 and n >= 1 take different branches of the closure test.
+    bound = 4
     seen = []
 
     def recording(inst, n, L):
         seen.append(L)
         return is_ideal(inst, n, L)
 
-    _enumerate_core.cache_clear()
     monkeypatch.setattr(padic, "is_ideal", recording)
-    records = enumerate_ideals(inst, 1, bound)
-    # The candidates are plain (p, a, c, b) tuples; only an ideal gets a record.
-    expected = {
-        (p, a, c, k - a)
-        for k in range(bound + 1)
-        for a in range(k + 1)
-        for c in range(p**a)
-    }
-    assert len(seen) == len(set(seen)) and set(seen) == expected
-    assert len(seen) == sum(p**a for k in range(bound + 1) for a in range(k + 1))
-    # The scan builds its candidates without validation; the checked
-    # constructor must accept every one of them.
-    assert all(LatticeHNF(*L) == L for L in seen)
-    assert records and all(type(r.lattice) is LatticeHNF for r in records)
+    for p in (2, 3):
+        inst = make_case(tag, p)
+        # The candidates are plain (p, a, c, b) tuples; only an ideal gets a record.
+        expected = {
+            (p, a, c, k - a)
+            for k in range(bound + 1)
+            for a in range(k + 1)
+            for c in range(p**a)
+        }
+        for n in (0, 1, 2):
+            seen.clear()
+            _enumerate_core.cache_clear()
+            records = enumerate_ideals(inst, n, bound)
+            # is_ideal reads p from the candidate, so every call is over inst.p.
+            assert all(L[0] == inst.p for L in seen), (p, n)
+            assert len(seen) == len(set(seen)) and set(seen) == expected, (p, n)
+            assert len(seen) == sum(p**a for k in range(bound + 1) for a in range(k + 1))
+            # The scan builds its candidates without validation; the checked
+            # constructor must accept every one of them.
+            assert all(LatticeHNF(*L) == L for L in seen)
+            assert records and all(type(r.lattice) is LatticeHNF for r in records)
 
 
 @pytest.mark.parametrize(
-    "tag,p", [(RAM, 2), (RAM, 3), (SPLIT, 2), (SPLIT, 3), (UNRAM, 3), (UNRAM, 5), (UNRAM, 2)]
+    "tag,p",
+    [
+        (RAM, 2),
+        (RAM, 3),
+        (RAM, 5),
+        (SPLIT, 2),
+        (SPLIT, 3),
+        (SPLIT, 5),
+        (UNRAM, 3),
+        (UNRAM, 5),
+        (UNRAM, 7),
+        (UNRAM, 2),
+    ],
 )
 def test_closure_test_matches_the_column_referee(tag, p):
     # The root condition of is_ideal against the direct test that p^n*Delta
-    # maps both Hermite columns into L, on every reduced Hermite form.
+    # maps both Hermite columns into L, on every reduced Hermite form.  At
+    # p >= 5 this proves the exit on c mod p (f_n(c) = c^2 mod p for n >= 1)
+    # with index exponent <= 4 and n <= 4.
     inst = make_case(tag, p)
+    max_k, max_n = (5, 3) if p <= 3 else (4, 4)
     forms = [
         LatticeHNF(p, a, c, k - a)
-        for k in range(6)
+        for k in range(max_k + 1)
         for a in range(k + 1)
         for c in range(p**a)
     ]
-    for n in range(4):
+    for n in range(max_n + 1):
         for L in forms:
             want = _delta_maps_into(inst, n, L, L)
             assert is_ideal(inst, n, L) == want, (n, L)
@@ -590,6 +611,17 @@ def test_traveling_examples(ram3):
     assert rec[LatticeHNF(3, 1, 0, 0)].principal is False  # pO_0 is not principal in O_1
     with pytest.raises(NotAnIdeal):
         traveling(ram3, 1, LatticeHNF(3, 0, 0, 1))
+
+
+def test_traveling_rejects_a_lattice_over_another_prime(ram3):
+    # is_ideal reads p from its argument and passes these forms over 2 for the
+    # p = 3 instance, so without the prime check p*J would be a lattice over 2.
+    for a, b in ((0, 0), (1, 1)):
+        assert traveling(ram3, 0, LatticeHNF(3, a, 0, b)) == LatticeHNF(3, a + 1, 0, b)
+        over_two = LatticeHNF(2, a, 0, b)
+        for n in (0, 1):
+            with pytest.raises(NotAnIdeal, match="over 2, not over 3"):
+                traveling(ram3, n, over_two)
 
 
 def test_traveling_bijection_small(ram3):
