@@ -44,7 +44,7 @@ from .genfun import (
     reachable_count_oracle,
 )
 from .orders import extension_case, full_zeta
-from .padic import enumerate_ideals, is_prime, make_case
+from .padic import ClassAtlas, enumerate_ideals, is_prime, make_case
 from .poly import BiPoly, RationalFn, series_expand
 from .report import CheckResult
 from .suites import (
@@ -197,7 +197,9 @@ def cmd_enumerate(args) -> int:
     kind = _KIND_NAMES[args.case]
     n, bound = args.n, args.max_contribution
     inst = make_case(kind, args.p)
-    records = enumerate_ideals(inst, n, bound, arithmetic_tree(inst, n, bound))
+    tree = arithmetic_tree(inst, n, bound)
+    records = enumerate_ideals(inst, n, bound)
+    atlas = ClassAtlas(inst, tree)
     rows = [
         {
             "case": args.case,
@@ -205,7 +207,7 @@ def cmd_enumerate(args) -> int:
             "n": n,
             "type": "|".join(map(str, r.type_eps or ())),
             "contribution": r.lattice.index_exponent if r.principal else "",
-            "vertex": "" if r.vertex is None else str(r.vertex),
+            "vertex": str(atlas.place(n, r.lattice)),
             "distance": "" if r.distance_to_main is None else r.distance_to_main,
             "principal": r.principal,
             "lattice": str(r.lattice),

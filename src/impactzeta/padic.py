@@ -23,23 +23,18 @@ generator search over the p^2 classes of I/pI (whether an element generates
 depends only on its class mod pI), confirming a found generator alpha by
 comparing the Hermite form of alpha*O_n with the ideal.  A second decider,
 the multiplier level (the least h with p^h*Delta*I inside I; I is principal
-iff it is n), shares nothing with the search.  Given a truncated tree,
-every ideal is placed at the vertex of its class, whose height must be its
-multiplier level.  Nothing here reads the formulas (``orders``,
-``genfun``) that these results check.
+iff it is n), shares nothing with the search.  Placement is separate from
+the scan: ``ClassAtlas.place`` puts an ideal at the tree vertex of its
+class, whose height must be its multiplier level.  Nothing here reads the
+formulas (``orders``, ``genfun``) that these results check.
 
 Cost: for the index bound B the scan visits sum_{k<=B} sum_{a<=k} p^a
 Hermite forms [[p^a, c], [0, p^(k-a)]] and runs one closure test on each.
-A candidate is a plain tuple (p, a, c, b).  The closure test first
-rejects on c mod p wherever that residue decides (for b >= 1, and for
-b = 0 at n >= 1, where f_n(c) = c^2 mod p), then a < b and p^b not
-dividing c; only the survivors evaluate f_n(r), reject p not dividing
-it, and reduce the root condition mod p^(a-b).  On the arithmetic-b7
-grid (473,088 candidates) these end 56.4 % / 0.2 % / 0.8 % / 29.9 % /
-12.6 % of the tests.
-Only a candidate that passes becomes a LatticeHNF, built without the
-validating constructor, since the loop over 0 <= c < p^a is the
-reduction condition.
+A candidate is a plain tuple (p, a, c, b); the closure test (``is_ideal``)
+rejects on the cheapest residues first and forms powers of p only for
+the survivors.  Only a candidate that passes becomes a LatticeHNF, built
+without the validating constructor, since the loop over 0 <= c < p^a is
+the reduction condition.
 """
 
 from __future__ import annotations
@@ -383,6 +378,10 @@ class ClassAtlas:
             )
         return addr
 
+    def place(self, n: int, L: LatticeHNF) -> VertexAddr:
+        """The address of the class of the ideal L of O_n (in the O_n basis)."""
+        return self.locate(_ideal_class(self.inst, n, L))
+
     def lattice_at(self, addr: VertexAddr) -> LatticeHNF:
         if addr not in self._by_addr:
             raise OutsideTruncation(
@@ -397,13 +396,15 @@ class ClassAtlas:
 
 @dataclass(frozen=True)
 class IdealRecord:
-    """One enumerated finite-index ideal of O_n (in the O_n basis)."""
+    """One enumerated finite-index ideal of O_n (in the O_n basis).
+
+    It carries no tree address: ``ClassAtlas.place`` gives that.
+    """
 
     lattice: LatticeHNF
     principal: bool
     generator: Optional[QuadElem] = None
     type_eps: Optional[tuple[int, ...]] = None
-    vertex: Optional[VertexAddr] = None
     distance_to_main: Optional[int] = None
 
 
@@ -438,9 +439,8 @@ def is_ideal(inst: CaseInstance, n: int, L: tuple[int, int, int, int]) -> bool:
       delta), f_n(r) is evaluated once, and (4) p does not divide f_n(r);
       (5) only then the root condition mod p^(a-b).
 
-    On the arithmetic-b7 grid the candidates end 56.4 % / 0.2 % / 0.8 % /
-    29.9 % / 12.6 % at steps 1 / 2 / 3 / 4 / 5 (the 120 that pass with
-    a = b are 0.03 %), and f_n is evaluated for 42.5 % of them.
+    The residue c mod p settles most candidates, so it comes first; the
+    README gives the share each step ends on the arithmetic-b7 grid.
     """
     p, a, c, b = L
     if b:
@@ -605,33 +605,13 @@ def _ideal_class(inst: CaseInstance, n: int, L: LatticeHNF) -> LatticeHNF:
     return class_rep(LatticeHNF(L.p, L.a_exp, L.c, L.b_exp + n))
 
 
-def enumerate_ideals(
-    inst: CaseInstance,
-    n: int,
-    max_contribution: int,
-    tree: Optional[TruncatedTree] = None,
-) -> list[IdealRecord]:
+def enumerate_ideals(inst: CaseInstance, n: int, max_contribution: int) -> list[IdealRecord]:
     """All ideals of O_n with index exponent <= max_contribution.
 
-    Records come in scan order: by index exponent, then a, then c.  When a
-    matching truncated tree is supplied, every record, principal or not,
-    additionally carries the tree address of its lattice class.
+    Records come in scan order: by index exponent, then a, then c.  They
+    carry no tree address; ``ClassAtlas.place`` gives one.
     """
-    core = _enumerate_core(inst, n, max_contribution)
-    if tree is None:
-        return list(core)
-    locate = ClassAtlas(inst, tree).locate
-    return [
-        IdealRecord(
-            rec.lattice,
-            rec.principal,
-            rec.generator,
-            rec.type_eps,
-            locate(_ideal_class(inst, n, rec.lattice)),
-            rec.distance_to_main,
-        )
-        for rec in core
-    ]
+    return list(_enumerate_core(inst, n, max_contribution))
 
 
 def traveling(inst: CaseInstance, n: int, J: LatticeHNF) -> LatticeHNF:
@@ -655,23 +635,25 @@ def source_and_distance_check(
     inst: CaseInstance,
     n: int,
     max_contribution: int,
-    tree: TruncatedTree,
+    atlas: ClassAtlas,
 ) -> tuple[int, list[str]]:
     """Placement of every ideal of O_n, vertex by vertex over the ball.
 
-    The ball is every truncation vertex within distance max_contribution of
-    the way-out vertex O_n, and any vertex holding an ideal.  v passes when
-    (i) each ideal there has multiplier level h(v), (ii) each principal one
-    has lattice distance dist(v, O_n) to O_n, and (iii) the index exponents
-    there are exactly dist, dist + 2, ... up to the bound.  So the pairs
-    (vertex, index exponent) are distinct and fill the ball.  Returns the
-    number of vertices checked and a description of each failing vertex,
-    in the order of the truncation.
+    The ball is every vertex of the atlas's truncation within distance
+    max_contribution of the way-out vertex O_n, and any vertex holding an
+    ideal.  v passes when (i) each ideal there has multiplier level h(v),
+    (ii) each principal one has lattice distance dist(v, O_n) to O_n, and
+    (iii) the index exponents there are exactly dist, dist + 2, ... up to
+    the bound.  So the pairs (vertex, index exponent) are distinct and fill
+    the ball.  Returns the number of vertices checked and a description of
+    each failing vertex, in the order of the truncation.
     """
-    records = enumerate_ideals(inst, n, max_contribution, tree)
+    if atlas.inst != inst:
+        raise ValueError("atlas and case instance do not match")
+    tree = atlas.tree
     by_vertex: dict[VertexAddr, list[IdealRecord]] = {}
-    for rec in records:
-        by_vertex.setdefault(rec.vertex, []).append(rec)
+    for rec in enumerate_ideals(inst, n, max_contribution):
+        by_vertex.setdefault(atlas.place(n, rec.lattice), []).append(rec)
     target = way_out_vertex(tree.spec, n)
     checked = 0
     failures = []

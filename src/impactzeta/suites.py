@@ -52,6 +52,7 @@ from .orders import (
     unit_index,
 )
 from .padic import (
+    ClassAtlas,
     coset_reps,
     enumerate_ideals,
     make_case,
@@ -181,7 +182,9 @@ def arithmetic_suite(
                     )
                 )
                 tree = arithmetic_tree(inst, n, d_bound)
-                records = enumerate_ideals(inst, n, d_bound, tree)
+                records = enumerate_ideals(inst, n, d_bound)
+                # One atlas per (case, p, n) places every ideal.
+                atlas = ClassAtlas(inst, tree)
                 principal = [r for r in records if r.principal]
                 # (b) type histogram against the counting rules, and the
                 # contribution of each type against the index exponent.
@@ -223,7 +226,7 @@ def arithmetic_suite(
                 # (d) vertices: the principal classes are exactly the layer-n
                 # vertices within contribution reach (the smallest
                 # contribution at a vertex is its distance to the way out).
-                vertex_set = {r.vertex for r in principal}
+                vertex_set = {atlas.place(n, r.lattice) for r in principal}
                 way_out = way_out_vertex(tree.spec, n)
                 reachable = {
                     v
@@ -252,7 +255,7 @@ def arithmetic_suite(
                     )
                 )
                 # (d') every ideal at a vertex of its multiplier level.
-                checked, failures = source_and_distance_check(inst, n, d_bound, tree)
+                checked, failures = source_and_distance_check(inst, n, d_bound, atlas)
                 detail = f"{checked} vertices checked"
                 if failures:
                     detail += f", first failure {failures[0]}"

@@ -11,6 +11,7 @@ from impactzeta.building import (
     distance_profile,
     way_out_vertex,
 )
+from impactzeta import genfun
 from impactzeta.errors import NotDivisible, TruncationInsufficient, UnsupportedHeight
 from impactzeta.genfun import (
     basin_genfun,
@@ -104,6 +105,23 @@ def test_oracle_running_sums_follow_the_profile_read():
                 assert reachable_count_oracle(profile, d, which) == sum(
                     counts[d % 2 : d + 1 : 2]
                 )
+
+
+def test_oracle_keeps_the_running_sums_of_the_last_profile_only():
+    # The module-level memo is bounded at one entry: the profile read last
+    # and its (layer, basin) running sums, nothing of the profiles before.
+    profiles = [
+        distance_profile(spec(kind, 2), way_out_vertex(spec(kind, 2), 1), 6)
+        for kind in (UNRAM, RAM, SPLIT)
+    ]
+    for profile in profiles:
+        reachable_count_oracle(profile, 3)
+    last = profiles[-1]
+    assert len(genfun._running) == 2
+    assert genfun._running[0] is last
+    assert genfun._running[1] == [
+        [sum(counts[d % 2 : d + 1 : 2]) for d in range(len(counts))] for counts in last
+    ]
 
 
 def test_oracle_rejects_unknown_height_class():

@@ -443,8 +443,10 @@ def test_closure_test_matches_the_column_referee(tag, p):
 def test_caches_are_bounded():
     # Every lru_cache wrapper defined in an impactzeta module, at module level
     # or on a class, keeps at most its module's CACHE_SIZE entries: an
-    # unbounded cache (maxsize=None) fails here.  The package has one cache,
-    # and CACHE_SIZE is defined only in the module that holds it.
+    # unbounded cache (maxsize=None) fails here.  The package has one
+    # lru_cache, and CACHE_SIZE is defined only in the module that holds it.
+    # This scan cannot see plain module-level memos: genfun._running, the
+    # one other, is pinned to one entry in tests/test_genfun.py.
     cached = {}
     sized = []
     for info in pkgutil.iter_modules(impactzeta.__path__):
@@ -664,37 +666,39 @@ def test_atlas_covers_layers(unram3):
 
 
 def test_ideal_vertices_fill_layer(ram3):
-    tree = build_truncated(BuildingSpec(RAM, 3), 1)
-    records = enumerate_ideals(ram3, 1, 3, tree)
-    vertices = {r.vertex for r in records if r.principal}
-    assert vertices == set(layer_members(tree, 1))
+    atlas = ClassAtlas(ram3, build_truncated(BuildingSpec(RAM, 3), 1))
+    records = enumerate_ideals(ram3, 1, 3)
+    vertices = {atlas.place(1, r.lattice) for r in records if r.principal}
+    assert vertices == set(layer_members(atlas.tree, 1))
     # The non-principal ideals p^k*O_0 and p^k*Delta*O_0 sit on the basin.
-    assert {r.vertex for r in records if not r.principal} == {VertexAddr(0), VertexAddr(1)}
+    basin = {atlas.place(1, r.lattice) for r in records if not r.principal}
+    assert basin == {VertexAddr(0), VertexAddr(1)}
     # Odd-type ideals live on the second anchor's side.
     for r in records:
         if r.principal and r.type_eps[0] % 2 == 1:
-            assert r.vertex.anchor == 1
+            assert atlas.place(1, r.lattice).anchor == 1
         elif r.principal:
-            assert r.vertex.anchor == 0
+            assert atlas.place(1, r.lattice).anchor == 0
 
 
 def test_ideal_vertex_of_main_order(ram3):
-    tree = build_truncated(BuildingSpec(RAM, 3), 1)
-    records = enumerate_ideals(ram3, 1, 3, tree)
+    atlas = ClassAtlas(ram3, build_truncated(BuildingSpec(RAM, 3), 1))
+    records = enumerate_ideals(ram3, 1, 3)
     on = [r for r in records if r.principal and r.type_eps == (0,)]
     assert len(on) == 1
-    assert on[0].vertex == way_out_vertex(tree.spec, 1)
+    vertex = atlas.place(1, on[0].lattice)
+    assert vertex == way_out_vertex(atlas.tree.spec, 1)
     # O_1 in {1, Delta} coordinates is the order lattice of level 1.
-    assert ClassAtlas(ram3, tree).locate(order_lattice(3, 1)) == on[0].vertex
+    assert atlas.locate(order_lattice(3, 1)) == vertex
 
 
 def test_split_high_type_vertex(split3):
-    tree = suites.arithmetic_tree(split3, 1, 3)
-    records = enumerate_ideals(split3, 1, 3, tree)
+    atlas = ClassAtlas(split3, suites.arithmetic_tree(split3, 1, 3))
+    records = enumerate_ideals(split3, 1, 3)
     offset = [r for r in records if r.principal and r.type_eps == (1, 2)]
     assert offset
     for r in offset:
-        assert abs(r.vertex.anchor) == 1
+        assert abs(atlas.place(1, r.lattice).anchor) == 1
         assert r.distance_to_main == 3
 
 
@@ -702,15 +706,16 @@ def test_source_and_distance(monkeypatch, ram3, unram3, split3):
     real = padic.multiplier_level
     for inst in (ram3, unram3, split3):
         tree = suites.arithmetic_tree(inst, 1, 4)
+        atlas = ClassAtlas(inst, tree)
         # One vertex checked per vertex within distance 4 of O_1 in the
         # truncation, and none fails.
         target = way_out_vertex(tree.spec, 1)
         ball = [v for v in tree.vertices if distance(tree, v, target) <= 4]
-        assert source_and_distance_check(inst, 1, 4, tree) == (len(ball), [])
+        assert source_and_distance_check(inst, 1, 4, atlas) == (len(ball), [])
         # Every ball vertex holds an ideal, so a level one too high fails
         # each of them, and the failures name the vertices in tree order.
         monkeypatch.setattr(padic, "multiplier_level", lambda inst, n, L: real(inst, n, L) + 1)
-        checked, failures = source_and_distance_check(inst, 1, 4, tree)
+        checked, failures = source_and_distance_check(inst, 1, 4, atlas)
         monkeypatch.undo()
         assert checked == len(ball)
         assert [f.partition(": ")[0] for f in failures] == [f"vertex={v}" for v in ball]
@@ -733,10 +738,10 @@ def test_source_check_sees_moved_non_principal_classes(monkeypatch, tag, p, n):
     # Multiplication by Delta keeps heights and moves these classes to other
     # vertices inside the atlas; no principal record changes.
     inst = make_case(tag, p)
-    tree = suites.arithmetic_tree(inst, n, 6)
-    assert source_and_distance_check(inst, n, 6, tree)[1] == []
+    atlas = ClassAtlas(inst, suites.arithmetic_tree(inst, n, 6))
+    assert source_and_distance_check(inst, n, 6, atlas)[1] == []
     monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta)
-    assert source_and_distance_check(inst, n, 6, tree)[1]
+    assert source_and_distance_check(inst, n, 6, atlas)[1]
 
 
 @pytest.mark.parametrize("tag", [RAM, SPLIT])
@@ -751,7 +756,8 @@ def test_source_check_sees_a_multiplier_level_off_by_one(monkeypatch, tag, shift
         return min(max(real(inst, n, L) + shift, 0), n)
 
     monkeypatch.setattr(padic, "multiplier_level", shifted)
-    checked, failures = source_and_distance_check(inst, 2, 6, suites.arithmetic_tree(inst, 2, 6))
+    atlas = ClassAtlas(inst, suites.arithmetic_tree(inst, 2, 6))
+    checked, failures = source_and_distance_check(inst, 2, 6, atlas)
     assert checked and failures
 
 
@@ -762,13 +768,13 @@ def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
     def source_check():
         return next(r for r in arithmetic_suite(2, 6, {RAM: (3,)}) if r.name == name)
 
-    tree = suites.arithmetic_tree(inst, 2, 6)
-    checked, failures = source_and_distance_check(inst, 2, 6, tree)
+    atlas = ClassAtlas(inst, suites.arithmetic_tree(inst, 2, 6))
+    checked, failures = source_and_distance_check(inst, 2, 6, atlas)
     passing = source_check()
     assert passing.passed and passing.detail == f"{checked} vertices checked"
     real = padic.multiplier_level
     monkeypatch.setattr(padic, "multiplier_level", lambda inst, n, L: real(inst, n, L) + 1)
-    checked, failures = source_and_distance_check(inst, 2, 6, tree)
+    checked, failures = source_and_distance_check(inst, 2, 6, atlas)
     assert failures[0] == "vertex=0: distance 2, index exponents [2, 4, 6]"
     failing = source_check()
     assert not failing.passed
@@ -778,15 +784,96 @@ def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
     )
 
 
+def test_source_check_rejects_an_atlas_of_another_instance(ram3, unram3):
+    atlas = ClassAtlas(unram3, suites.arithmetic_tree(unram3, 1, 3))
+    with pytest.raises(ValueError, match="atlas and case instance do not match"):
+        source_and_distance_check(ram3, 1, 3, atlas)
+
+
+def test_arithmetic_suite_enumerates_and_places_once_per_point(monkeypatch):
+    # Every binding of enumerate_ideals in the package is counted, and every
+    # atlas is counted at construction.  Per (case, p) on the default primes
+    # at n_max = 1: 4n + 2 calls for 2n + 1 distinct keys, the counts that
+    # the traced benchmark run pins, and one atlas per n.
+    calls = []
+    atlases = []
+    real_enumerate = padic.enumerate_ideals
+    real_init = ClassAtlas.__init__
+
+    def counted_enumerate(inst, n, max_contribution):
+        calls.append((inst, n, max_contribution))
+        return real_enumerate(inst, n, max_contribution)
+
+    def counted_init(self, inst, tree):
+        atlases.append((inst, tree.radius))
+        real_init(self, inst, tree)
+
+    for info in pkgutil.iter_modules(impactzeta.__path__):
+        module = importlib.import_module(f"impactzeta.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is real_enumerate:
+                monkeypatch.setattr(module, name, counted_enumerate)
+    monkeypatch.setattr(ClassAtlas, "__init__", counted_init)
+    assert all_passed(arithmetic_suite(1, 3))
+    pairs = sum(len(ps) for ps in suites.DEFAULT_PRIMES.values())
+    assert pairs == 6
+    assert len(calls) == pairs * (4 * 1 + 2) == 36
+    assert len(set(calls)) == pairs * (2 * 1 + 1) == 18
+    assert len(atlases) == pairs * 2 == 12
+    assert len(set(atlases)) == 12
+
+
+def _failing_checks(primes):
+    # The enumeration cache would hide a mutant from a warm scan.
+    _enumerate_core.cache_clear()
+    try:
+        return {r.name for r in arithmetic_suite(2, 6, primes) if not r.passed}
+    finally:
+        _enumerate_core.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "tag,killed",
+    [
+        (RAM, {"source-distance ramified p=3 n=1", "source-distance ramified p=3 n=2"}),
+        (UNRAM, {"source-distance unramified p=3 n=2"}),
+    ],
+)
+def test_suite_sees_moved_non_principal_classes(monkeypatch, tag, killed):
+    # Split is left out: there the moved classes leave the truncation, and
+    # the mutant raises OutsideTruncation instead of failing a check.
+    assert _failing_checks({tag: (3,)}) == set()
+    monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta)
+    assert _failing_checks({tag: (3,)}) == killed
+
+
+def test_suite_sees_a_multiplier_level_one_too_high(monkeypatch):
+    real = padic.multiplier_level
+
+    def raised(inst, n, L):
+        return real(inst, n, L) + 1
+
+    for module in (padic, suites):
+        monkeypatch.setattr(module, "multiplier_level", raised)
+    primes = {kind: (3,) for kind in (RAM, UNRAM, SPLIT)}
+    assert _failing_checks(primes) == {
+        f"{check} {kind.value} p=3 n={n}"
+        for check in ("principal-deciders", "source-distance")
+        for kind in (RAM, UNRAM, SPLIT)
+        for n in range(3)
+    }
+
+
 def test_unramified_distance_two_sources(unram3):
-    tree = build_truncated(BuildingSpec(UNRAM, 3), 1)
-    records = enumerate_ideals(unram3, 1, 4, tree)
-    target = way_out_vertex(tree.spec, 1)
+    atlas = ClassAtlas(unram3, build_truncated(BuildingSpec(UNRAM, 3), 1))
+    records = enumerate_ideals(unram3, 1, 4)
+    target = way_out_vertex(atlas.tree.spec, 1)
     for r in records:
-        if r.principal and r.vertex != target:
+        vertex = atlas.place(1, r.lattice)
+        if r.principal and vertex != target:
             assert r.distance_to_main == 2
             assert min(
                 x.lattice.index_exponent
                 for x in records
-                if x.principal and x.vertex == r.vertex
+                if x.principal and atlas.place(1, x.lattice) == vertex
             ) == 2
