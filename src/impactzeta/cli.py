@@ -49,7 +49,6 @@ from .poly import BiPoly, RationalFn, series_expand
 from .report import CheckResult
 from .suites import (
     arithmetic_suite,
-    arithmetic_tree,
     identity_suite,
     line_fixture_suite,
     oracle_suite,
@@ -197,9 +196,8 @@ def cmd_enumerate(args) -> int:
     kind = _KIND_NAMES[args.case]
     n, bound = args.n, args.max_contribution
     inst = make_case(kind, args.p)
-    tree = arithmetic_tree(inst, n, bound)
+    atlas = ClassAtlas(inst, n, bound)
     records = enumerate_ideals(inst, n, bound)
-    atlas = ClassAtlas(inst, tree)
     rows = [
         {
             "case": args.case,
@@ -207,7 +205,7 @@ def cmd_enumerate(args) -> int:
             "n": n,
             "type": "|".join(map(str, r.type_eps or ())),
             "contribution": r.lattice.index_exponent if r.principal else "",
-            "vertex": str(atlas.place(n, r.lattice)),
+            "vertex": str(atlas.place(r.lattice)),
             "distance": "" if r.distance_to_main is None else r.distance_to_main,
             "principal": r.principal,
             "lattice": str(r.lattice),
@@ -228,7 +226,7 @@ def cmd_enumerate(args) -> int:
         ] + [
             f"[{'P' if row['principal'] else '-'}] k={row['index_exponent']} "
             f"lattice={row['lattice']} type={row['type'] or '-'} "
-            f"c={row['contribution']} vertex={row['vertex'] or '-'} d={row['distance']}"
+            f"c={row['contribution']} vertex={row['vertex']} d={row['distance']}"
             for row in rows
         ]
     _write(args, {"ideals": rows}, text)

@@ -24,9 +24,12 @@ depends only on its class mod pI), confirming a found generator alpha by
 comparing the Hermite form of alpha*O_n with the ideal.  A second decider,
 the multiplier level (the least h with p^h*Delta*I inside I; I is principal
 iff it is n), shares nothing with the search.  Placement is separate from
-the scan: ``ClassAtlas.place`` puts an ideal at the tree vertex of its
-class, whose height must be its multiplier level.  Nothing here reads the
-formulas (``orders``, ``genfun``) that these results check.
+the scan: ``ClassAtlas(inst, n, bound)`` builds the truncation that holds
+the ideals of O_n up to the bound, and its ``place`` puts an ideal at the
+tree vertex of its class, whose height must be its multiplier level;
+``source_and_distance_check`` reads the case, n and bound from the atlas.
+Nothing here reads the formulas (``orders``, ``genfun``) that these
+results check.
 
 Cost: for the index bound B the scan visits sum_{k<=B} sum_{a<=k} p^a
 Hermite forms [[p^a, c], [0, p^(k-a)]] and runs one closure test on each.
@@ -46,8 +49,9 @@ from typing import NamedTuple, Optional
 
 from .building import (
     BasinKind,
-    TruncatedTree,
+    BuildingSpec,
     VertexAddr,
+    build_truncated,
     distance as tree_distance,
     way_out_vertex,
 )
@@ -321,18 +325,28 @@ def neighbor_classes(inst: CaseInstance, L: LatticeHNF) -> list[LatticeHNF]:
 
 
 class ClassAtlas:
-    """Bijection between lattice classes and tree addresses.
+    """Bijection between lattice classes and the tree addresses of O_n's ideals.
+
+    The truncation holds every ideal of O_n of index exponent at most
+    max_contribution.  Its radius is n: an ideal's class sits at the height
+    of its multiplier level, which is at most n.  Height is the distance
+    to the basin (Serre, *Trees*, ch. II), so a split class at height
+    h <= n and anchor j != 0 lies at distance n + |j| + h from O_n; the
+    index exponents at a vertex start at its distance, so the anchors run
+    out to |j| = max_contribution - n.  The other basins ignore the
+    halfwidth.
 
     Built by breadth-first descent from the basin anchor classes, labelling
     children in sorted Hermite order except along the way out, where
     child 0 is forced to be the next main-sequence class O_{h+1}.
     """
 
-    def __init__(self, inst: CaseInstance, tree: TruncatedTree):
-        if tree.spec.m != inst.p or tree.spec.kind is not inst.tag:
-            raise ValueError("tree and case instance do not match")
+    def __init__(self, inst: CaseInstance, n: int, max_contribution: int):
         self.inst = inst
-        self.tree = tree
+        self.n = n
+        self.max_contribution = max_contribution
+        spec = BuildingSpec(inst.tag, inst.p)
+        self.tree = tree = build_truncated(spec, n, max(max_contribution - n, n))
         p = inst.p
         # (address, class, classes excluded from its children)
         if inst.tag is BasinKind.UNRAMIFIED:
@@ -378,9 +392,9 @@ class ClassAtlas:
             )
         return addr
 
-    def place(self, n: int, L: LatticeHNF) -> VertexAddr:
+    def place(self, L: LatticeHNF) -> VertexAddr:
         """The address of the class of the ideal L of O_n (in the O_n basis)."""
-        return self.locate(_ideal_class(self.inst, n, L))
+        return self.locate(_ideal_class(self.inst, self.n, L))
 
     def lattice_at(self, addr: VertexAddr) -> LatticeHNF:
         if addr not in self._by_addr:
@@ -631,29 +645,23 @@ def traveling(inst: CaseInstance, n: int, J: LatticeHNF) -> LatticeHNF:
     return out
 
 
-def source_and_distance_check(
-    inst: CaseInstance,
-    n: int,
-    max_contribution: int,
-    atlas: ClassAtlas,
-) -> tuple[int, list[str]]:
-    """Placement of every ideal of O_n, vertex by vertex over the ball.
+def source_and_distance_check(atlas: ClassAtlas) -> tuple[int, list[str]]:
+    """Placement of every ideal of the atlas's O_n, vertex by vertex over the ball.
 
     The ball is every vertex of the atlas's truncation within distance
-    max_contribution of the way-out vertex O_n, and any vertex holding an
-    ideal.  v passes when (i) each ideal there has multiplier level h(v),
-    (ii) each principal one has lattice distance dist(v, O_n) to O_n, and
-    (iii) the index exponents there are exactly dist, dist + 2, ... up to
-    the bound.  So the pairs (vertex, index exponent) are distinct and fill
-    the ball.  Returns the number of vertices checked and a description of
-    each failing vertex, in the order of the truncation.
+    max_contribution (the atlas's bound) of the way-out vertex O_n, and
+    any vertex holding an ideal.  v passes when (i) each ideal there has
+    multiplier level h(v), (ii) each principal one has lattice distance
+    dist(v, O_n) to O_n, and (iii) the index exponents there are exactly
+    dist, dist + 2, ... up to the bound.  So the pairs (vertex, index
+    exponent) are distinct and fill the ball.  Returns the number of
+    vertices checked and a description of each failing vertex, in the order
+    of the truncation.
     """
-    if atlas.inst != inst:
-        raise ValueError("atlas and case instance do not match")
-    tree = atlas.tree
+    inst, n, max_contribution, tree = atlas.inst, atlas.n, atlas.max_contribution, atlas.tree
     by_vertex: dict[VertexAddr, list[IdealRecord]] = {}
     for rec in enumerate_ideals(inst, n, max_contribution):
-        by_vertex.setdefault(atlas.place(n, rec.lattice), []).append(rec)
+        by_vertex.setdefault(atlas.place(rec.lattice), []).append(rec)
     target = way_out_vertex(tree.spec, n)
     checked = 0
     failures = []

@@ -14,8 +14,9 @@ Three suites:
   full series prefixes, the traveling map), its generator search against
   the multiplier-ring criterion, and, with no formula, the placement of
   every ideal at a vertex of its multiplier level, filling the ball around
-  O_n.  Its principal and full functions are built once per (case, n) and
-  expanded at every prime.
+  O_n.  One ``ClassAtlas(inst, n, bound)`` per (case, p, n) builds its own
+  truncation and places every ideal.  The principal and full functions are
+  built once per (case, n) and expanded at every prime.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterable, Optional
 from .building import (
     BasinKind,
     BuildingSpec,
-    build_truncated,
     distance,
     distance_profile,
     layer_members,
@@ -142,16 +142,6 @@ def _possible_types(case, bound: int):
     ]
 
 
-def arithmetic_tree(inst, n: int, d_bound: int):
-    """The truncation that places the ideals of O_n up to the bound.
-
-    A split class at height h <= n and anchor j lies at distance
-    n + |j| + h from O_n, so the anchors run out to |j| = bound - n.  The
-    other basins ignore the halfwidth.
-    """
-    return build_truncated(BuildingSpec(inst.tag, inst.p), n, max(d_bound - n, n))
-
-
 def arithmetic_suite(
     n_max: int,
     d_bound: int,
@@ -181,10 +171,11 @@ def arithmetic_suite(
                         f"enumerated {len(reps)}, formula {want}",
                     )
                 )
-                tree = arithmetic_tree(inst, n, d_bound)
+                # One atlas per (case, p, n) places every ideal.  Its tree
+                # is built first, so the tree cap fails before the scan cap.
+                atlas = ClassAtlas(inst, n, d_bound)
+                tree = atlas.tree
                 records = enumerate_ideals(inst, n, d_bound)
-                # One atlas per (case, p, n) places every ideal.
-                atlas = ClassAtlas(inst, tree)
                 principal = [r for r in records if r.principal]
                 # (b) type histogram against the counting rules, and the
                 # contribution of each type against the index exponent.
@@ -226,7 +217,7 @@ def arithmetic_suite(
                 # (d) vertices: the principal classes are exactly the layer-n
                 # vertices within contribution reach (the smallest
                 # contribution at a vertex is its distance to the way out).
-                vertex_set = {atlas.place(n, r.lattice) for r in principal}
+                vertex_set = {atlas.place(r.lattice) for r in principal}
                 way_out = way_out_vertex(tree.spec, n)
                 reachable = {
                     v
@@ -255,7 +246,7 @@ def arithmetic_suite(
                     )
                 )
                 # (d') every ideal at a vertex of its multiplier level.
-                checked, failures = source_and_distance_check(inst, n, d_bound, atlas)
+                checked, failures = source_and_distance_check(atlas)
                 detail = f"{checked} vertices checked"
                 if failures:
                     detail += f", first failure {failures[0]}"

@@ -332,6 +332,20 @@ def test_vertex_cap_bounds_the_ball(capsys, monkeypatch):
     )
 
 
+def test_tree_cap_fails_before_the_enumeration_cap(capsys):
+    # Both caps are exceeded; the atlas builds its tree before the scan starts.
+    code, out, err = run(
+        capsys, "enumerate", "--case", "ramified", "--p", "3", "-n", "12",
+        "--max-contribution", "20",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: truncated tree ramified m=3 radius=12 halfwidth=0: "
+        "1594322 vertices, above MAX_VERTICES = 200000\n"
+    )
+
+
 def test_invariant_violation_is_one_error_line(capsys, monkeypatch):
     real = padic._confirm_generator
     # Each claimed generator scaled by p spans p*I, never I.

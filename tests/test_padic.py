@@ -7,9 +7,7 @@ import pytest
 
 from impactzeta.building import (
     BasinKind,
-    BuildingSpec,
     VertexAddr,
-    build_truncated,
     distance,
     layer_members,
     way_out_vertex,
@@ -639,8 +637,8 @@ def test_traveling_bijection_small(ram3):
 
 
 def test_atlas_spine(ram3):
-    tree = build_truncated(BuildingSpec(RAM, 3), 2)
-    atlas = ClassAtlas(ram3, tree)
+    atlas = ClassAtlas(ram3, 2, 2)
+    tree = atlas.tree
     for n in range(3):
         assert atlas.locate(order_lattice(3, n)) == way_out_vertex(tree.spec, n)
     assert atlas.locate(second_anchor_lattice(3)).anchor == 1
@@ -653,8 +651,8 @@ def test_atlas_spine(ram3):
 
 
 def test_atlas_covers_layers(unram3):
-    tree = build_truncated(BuildingSpec(UNRAM, 3), 2)
-    atlas = ClassAtlas(unram3, tree)
+    atlas = ClassAtlas(unram3, 2, 2)
+    tree = atlas.tree
     located = {atlas.locate(atlas.lattice_at(v)) for v in tree.vertices}
     assert located == set(tree.vertices)
     with pytest.raises(
@@ -666,56 +664,71 @@ def test_atlas_covers_layers(unram3):
 
 
 def test_ideal_vertices_fill_layer(ram3):
-    atlas = ClassAtlas(ram3, build_truncated(BuildingSpec(RAM, 3), 1))
+    atlas = ClassAtlas(ram3, 1, 3)
     records = enumerate_ideals(ram3, 1, 3)
-    vertices = {atlas.place(1, r.lattice) for r in records if r.principal}
+    vertices = {atlas.place(r.lattice) for r in records if r.principal}
     assert vertices == set(layer_members(atlas.tree, 1))
     # The non-principal ideals p^k*O_0 and p^k*Delta*O_0 sit on the basin.
-    basin = {atlas.place(1, r.lattice) for r in records if not r.principal}
+    basin = {atlas.place(r.lattice) for r in records if not r.principal}
     assert basin == {VertexAddr(0), VertexAddr(1)}
     # Odd-type ideals live on the second anchor's side.
     for r in records:
         if r.principal and r.type_eps[0] % 2 == 1:
-            assert atlas.place(1, r.lattice).anchor == 1
+            assert atlas.place(r.lattice).anchor == 1
         elif r.principal:
-            assert atlas.place(1, r.lattice).anchor == 0
+            assert atlas.place(r.lattice).anchor == 0
 
 
 def test_ideal_vertex_of_main_order(ram3):
-    atlas = ClassAtlas(ram3, build_truncated(BuildingSpec(RAM, 3), 1))
+    atlas = ClassAtlas(ram3, 1, 3)
     records = enumerate_ideals(ram3, 1, 3)
     on = [r for r in records if r.principal and r.type_eps == (0,)]
     assert len(on) == 1
-    vertex = atlas.place(1, on[0].lattice)
+    vertex = atlas.place(on[0].lattice)
     assert vertex == way_out_vertex(atlas.tree.spec, 1)
     # O_1 in {1, Delta} coordinates is the order lattice of level 1.
     assert atlas.locate(order_lattice(3, 1)) == vertex
 
 
 def test_split_high_type_vertex(split3):
-    atlas = ClassAtlas(split3, suites.arithmetic_tree(split3, 1, 3))
+    atlas = ClassAtlas(split3, 1, 3)
     records = enumerate_ideals(split3, 1, 3)
     offset = [r for r in records if r.principal and r.type_eps == (1, 2)]
     assert offset
     for r in offset:
-        assert abs(atlas.place(1, r.lattice).anchor) == 1
+        assert abs(atlas.place(r.lattice).anchor) == 1
         assert r.distance_to_main == 3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_split_atlas_halfwidth_is_the_farthest_anchor(p, n):
+    # The split ideals of O_n up to the bound reach anchor bound - n, and
+    # the atlas's halfwidth is exactly that wherever it exceeds the radius.
+    inst = make_case(SPLIT, p)
+    for bound in range(7):
+        atlas = ClassAtlas(inst, n, bound)
+        records = enumerate_ideals(inst, n, bound)
+        farthest = max(abs(atlas.place(r.lattice).anchor) for r in records)
+        assert farthest == max(bound - n, 0)
+        if bound >= 2 * n:
+            assert farthest == atlas.tree.halfwidth
 
 
 def test_source_and_distance(monkeypatch, ram3, unram3, split3):
     real = padic.multiplier_level
     for inst in (ram3, unram3, split3):
-        tree = suites.arithmetic_tree(inst, 1, 4)
-        atlas = ClassAtlas(inst, tree)
+        atlas = ClassAtlas(inst, 1, 4)
+        tree = atlas.tree
         # One vertex checked per vertex within distance 4 of O_1 in the
         # truncation, and none fails.
         target = way_out_vertex(tree.spec, 1)
         ball = [v for v in tree.vertices if distance(tree, v, target) <= 4]
-        assert source_and_distance_check(inst, 1, 4, atlas) == (len(ball), [])
+        assert source_and_distance_check(atlas) == (len(ball), [])
         # Every ball vertex holds an ideal, so a level one too high fails
         # each of them, and the failures name the vertices in tree order.
         monkeypatch.setattr(padic, "multiplier_level", lambda inst, n, L: real(inst, n, L) + 1)
-        checked, failures = source_and_distance_check(inst, 1, 4, atlas)
+        checked, failures = source_and_distance_check(atlas)
         monkeypatch.undo()
         assert checked == len(ball)
         assert [f.partition(": ")[0] for f in failures] == [f"vertex={v}" for v in ball]
@@ -738,10 +751,10 @@ def test_source_check_sees_moved_non_principal_classes(monkeypatch, tag, p, n):
     # Multiplication by Delta keeps heights and moves these classes to other
     # vertices inside the atlas; no principal record changes.
     inst = make_case(tag, p)
-    atlas = ClassAtlas(inst, suites.arithmetic_tree(inst, n, 6))
-    assert source_and_distance_check(inst, n, 6, atlas)[1] == []
+    atlas = ClassAtlas(inst, n, 6)
+    assert source_and_distance_check(atlas)[1] == []
     monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta)
-    assert source_and_distance_check(inst, n, 6, atlas)[1]
+    assert source_and_distance_check(atlas)[1]
 
 
 @pytest.mark.parametrize("tag", [RAM, SPLIT])
@@ -756,8 +769,8 @@ def test_source_check_sees_a_multiplier_level_off_by_one(monkeypatch, tag, shift
         return min(max(real(inst, n, L) + shift, 0), n)
 
     monkeypatch.setattr(padic, "multiplier_level", shifted)
-    atlas = ClassAtlas(inst, suites.arithmetic_tree(inst, 2, 6))
-    checked, failures = source_and_distance_check(inst, 2, 6, atlas)
+    atlas = ClassAtlas(inst, 2, 6)
+    checked, failures = source_and_distance_check(atlas)
     assert checked and failures
 
 
@@ -768,13 +781,13 @@ def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
     def source_check():
         return next(r for r in arithmetic_suite(2, 6, {RAM: (3,)}) if r.name == name)
 
-    atlas = ClassAtlas(inst, suites.arithmetic_tree(inst, 2, 6))
-    checked, failures = source_and_distance_check(inst, 2, 6, atlas)
+    atlas = ClassAtlas(inst, 2, 6)
+    checked, failures = source_and_distance_check(atlas)
     passing = source_check()
     assert passing.passed and passing.detail == f"{checked} vertices checked"
     real = padic.multiplier_level
     monkeypatch.setattr(padic, "multiplier_level", lambda inst, n, L: real(inst, n, L) + 1)
-    checked, failures = source_and_distance_check(inst, 2, 6, atlas)
+    checked, failures = source_and_distance_check(atlas)
     assert failures[0] == "vertex=0: distance 2, index exponents [2, 4, 6]"
     failing = source_check()
     assert not failing.passed
@@ -782,12 +795,6 @@ def test_source_distance_detail_names_the_first_failing_vertex(monkeypatch):
     assert failing.detail == (
         "26 vertices checked, first failure vertex=0: distance 2, index exponents [2, 4, 6]"
     )
-
-
-def test_source_check_rejects_an_atlas_of_another_instance(ram3, unram3):
-    atlas = ClassAtlas(unram3, suites.arithmetic_tree(unram3, 1, 3))
-    with pytest.raises(ValueError, match="atlas and case instance do not match"):
-        source_and_distance_check(ram3, 1, 3, atlas)
 
 
 def test_arithmetic_suite_enumerates_and_places_once_per_point(monkeypatch):
@@ -804,9 +811,9 @@ def test_arithmetic_suite_enumerates_and_places_once_per_point(monkeypatch):
         calls.append((inst, n, max_contribution))
         return real_enumerate(inst, n, max_contribution)
 
-    def counted_init(self, inst, tree):
-        atlases.append((inst, tree.radius))
-        real_init(self, inst, tree)
+    def counted_init(self, inst, n, max_contribution):
+        real_init(self, inst, n, max_contribution)
+        atlases.append((inst, self.tree.radius))
 
     for info in pkgutil.iter_modules(impactzeta.__path__):
         module = importlib.import_module(f"impactzeta.{info.name}")
@@ -865,15 +872,15 @@ def test_suite_sees_a_multiplier_level_one_too_high(monkeypatch):
 
 
 def test_unramified_distance_two_sources(unram3):
-    atlas = ClassAtlas(unram3, build_truncated(BuildingSpec(UNRAM, 3), 1))
+    atlas = ClassAtlas(unram3, 1, 4)
     records = enumerate_ideals(unram3, 1, 4)
     target = way_out_vertex(atlas.tree.spec, 1)
     for r in records:
-        vertex = atlas.place(1, r.lattice)
+        vertex = atlas.place(r.lattice)
         if r.principal and vertex != target:
             assert r.distance_to_main == 2
             assert min(
                 x.lattice.index_exponent
                 for x in records
-                if x.principal and atlas.place(1, x.lattice) == vertex
+                if x.principal and atlas.place(x.lattice) == vertex
             ) == 2
