@@ -61,10 +61,6 @@ class OutsideTruncation(ImpactZetaError):
     """A lattice class falls outside the truncated tree it was located in."""
 
 
-class ClosedFormMismatch(ImpactZetaError):
-    """Two closed forms for the same quantity disagree."""
-
-
 class InvariantViolation(ImpactZetaError):
     """A fact the construction guarantees failed at run time.
 

@@ -545,18 +545,6 @@ def test_enumeration_overflow_names_the_enumeration(capsys):
     assert "MAX_ENUMERATED_LATTICES" in err
 
 
-def test_counts_closed_form_mismatch_exit_code(capsys, monkeypatch):
-    from impactzeta import cli
-
-    monkeypatch.setattr(cli, "reachable_count_closed", lambda spec, n, d: -1)
-    code, out, err = run(
-        capsys, "counts", "--basin", "ramified", "--m", "2", "-n", "1", "--max-d", "3"
-    )
-    assert code == 1
-    assert out == ""
-    assert "walk-count formula -1" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [

@@ -34,6 +34,8 @@ SPAN_ONLY = {
     "build_line_tree": "named in `bench/trace_child.py` `SPANS`; goes with ROADMAP item 1",
     "TruncatedTree.bfs_distances": "referee for building.distance (BFS against the "
     "address rule), also named in `bench/trace_child.py` `SPANS`",
+    "reachable_count_closed": "named in `bench/trace_child.py` `SPANS`; acceptance "
+    "test 5 still compares it with BFS; goes with its span (ROADMAP item 15)",
 }
 
 _SPAN_STRING = re.compile(r"\w+:[\w.]+")

@@ -13,6 +13,7 @@ from impactzeta import genfun
 from impactzeta.building import BasinKind
 from impactzeta.cli import main
 from impactzeta.errors import LimitExceeded
+from impactzeta.poly import q_pow
 from impactzeta.suites import arithmetic_suite, oracle_suite
 
 ARITHMETIC_PRIMES = [(kind, p) for kind in BasinKind for p in (2, 3, 5)]
@@ -27,6 +28,27 @@ def test_oracle_suite_holds_for_every_small_size():
         for d in range(9):
             results = oracle_suite((2, 3), n, d)
             assert results and not _failures(results), (n, d, _failures(results))
+
+
+def test_oracle_suite_catches_a_wrong_plateau_from_its_first_walk(monkeypatch):
+    """The oracle suite compares the layer and basin series, the one closed
+    form of each walk count, with the BFS counts.  An extra q^3 in the split
+    plateau at n = 3 changes the layer series of O_3 from d = 6 = 2n on, and
+    through basin(n) = layer(n) + X * basin(n-1) the basin series of O_4 and
+    O_5 one and two steps later; every other check still holds."""
+    real = genfun._plateau_q
+
+    def plus_q3(kind, n):
+        extra = q_pow(3) if (kind, n) == (BasinKind.SPLIT, 3) else 0
+        return real(kind, n) + extra
+
+    monkeypatch.setattr(genfun, "_plateau_q", plus_q3)
+    results = oracle_suite((2,), 5, 12)
+    expected = [
+        f"oracle split m=2 n={n} d={d}" for n in (3, 4, 5) for d in range(n + 3, 13)
+    ]
+    assert len(results) == 3 * 6 * 13
+    assert _failures(results) == expected
 
 
 def test_oracle_suite_stretch_inside_the_30s_gate():
