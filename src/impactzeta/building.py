@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvariantViolation, LimitExceeded, RadiusTooSmall, UnknownVertex
+from .errors import LimitExceeded, RadiusTooSmall, UnknownVertex
 
 # Largest truncated tree, and most BFS states one distance profile may visit.
 MAX_VERTICES = 200_000
@@ -46,28 +46,20 @@ class BasinKind(Enum):
 
 @dataclass(frozen=True)
 class BuildingSpec:
-    """A basin kind together with the branching parameter m (degree m + 1)."""
+    """A basin kind together with the branching parameter m (degree m + 1).
+
+    m = 1 gives the bi-infinite line, on which only the unramified and
+    ramified basins sit; the split basin would be the whole line, so it
+    needs m >= 2.
+    """
 
     kind: BasinKind
     m: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("branching parameter m must be at least 2")
-
-
-def line_spec(kind: BasinKind) -> BuildingSpec:
-    """Degenerate m = 1 spec: the tree is a bi-infinite line.
-
-    It bypasses the m >= 2 validation.  Only the unramified and ramified
-    basins sit on a line; the split basin would be the whole tree.
-    """
-    if kind is BasinKind.SPLIT:
-        raise ValueError("the split basin has no m = 1 line form")
-    spec = object.__new__(BuildingSpec)
-    object.__setattr__(spec, "kind", kind)
-    object.__setattr__(spec, "m", 1)
-    return spec
+        least = 2 if self.kind is BasinKind.SPLIT else 1
+        if self.m < least:
+            raise ValueError(f"m must be at least {least} on the {self.kind.value} basin")
 
 
 @dataclass(frozen=True)
@@ -200,8 +192,8 @@ def build_truncated(
 
 
 def build_line_tree(kind: BasinKind, radius: int) -> TruncatedTree:
-    """Truncation of the degenerate m = 1 line (see :func:`line_spec`)."""
-    return TruncatedTree(line_spec(kind), radius)
+    """Truncation of the degenerate m = 1 line."""
+    return TruncatedTree(BuildingSpec(kind, 1), radius)
 
 
 def distance_profile(
@@ -265,22 +257,13 @@ def distance_profile(
     return tuple(layer), tuple(basin)
 
 
-def _anchor_separation(kind: BasinKind, a: int, b: int) -> int:
-    if a == b:
-        return 0
-    if kind is BasinKind.RAMIFIED:
-        return 1
-    if kind is BasinKind.SPLIT:
-        return abs(a - b)
-    raise InvariantViolation("unramified basin has a single anchor")
-
-
 def distance(tree: TruncatedTree, u: VertexAddr, v: VertexAddr) -> int:
     """Length of the unique geodesic, from the closed-form address rule.
 
     Same anchor: drop the common word prefix and count remaining letters.
     Different anchors: both words in full, plus the basin separation of the
-    anchors.  The BFS route is available separately for cross-checks.
+    anchors, which sit at consecutive integers.  The BFS route is available
+    separately for cross-checks.
     """
     if u not in tree:
         raise UnknownVertex(str(u))
@@ -293,8 +276,7 @@ def distance(tree: TruncatedTree, u: VertexAddr, v: VertexAddr) -> int:
                 break
             common += 1
         return len(u.word) + len(v.word) - 2 * common
-    sep = _anchor_separation(tree.spec.kind, u.anchor, v.anchor)
-    return len(u.word) + len(v.word) + sep
+    return len(u.word) + len(v.word) + abs(u.anchor - v.anchor)
 
 
 def layer_members(tree: TruncatedTree, n: int) -> frozenset[VertexAddr]:

@@ -265,22 +265,20 @@ def order_lattice(p: int, n: int) -> LatticeHNF:
     return LatticeHNF(p, 0, 0, n)
 
 
-def second_anchor_lattice(p: int) -> LatticeHNF:
-    """Ramified case: the class of Delta*O_0, adjacent to the class of O_0."""
-    return LatticeHNF(p, 1, 0, 0)
+def anchor_lattice(inst: CaseInstance, a: int) -> LatticeHNF:
+    """The class of Delta^a * O_0: the basin vertex at anchor a.
 
-
-def apartment_lattice(inst: CaseInstance, j: int) -> LatticeHNF:
-    """Split case: the class of the apartment vertex at position j.
-
-    Position j is the class of (1, p^j) * O_0 under the factor coordinates;
-    scaling makes both entries integral for either sign of j.
+    The torus moves the basin, and the uniformizer Delta steps it one anchor
+    along: a unit Delta fixes the one unramified vertex, Delta crosses the
+    ramified edge (Delta^2 = -p), and Delta = (1, p) translates the split
+    apartment.  For a < 0 the class is that of conj(Delta)^(-a) * O_0, with
+    conj(Delta) = tau - Delta = delta / Delta, so the element stays integral.
     """
-    if inst.tag is not BasinKind.SPLIT:
-        raise ValueError("apartment lattices exist only in the split case")
-    k = abs(j)
-    y = (inst.p**k - 1) // (inst.p - 1)
-    x = (1 - y) if j >= 0 else (inst.p**k - y)
+    step = (0, 1) if a >= 0 else (inst.tau, -1)  # Delta or conj(Delta)
+    m00, m01, m10, m11 = _mul_matrix(inst, 0, *step)
+    x, y = 1, 0
+    for _ in range(abs(a)):
+        x, y = m00 * x + m01 * y, m10 * x + m11 * y
     return class_rep(hnf(inst.p, *_mul_matrix(inst, 0, x, y)))
 
 
@@ -336,9 +334,10 @@ class ClassAtlas:
     out to |j| = max_contribution - n.  The other basins ignore the
     halfwidth.
 
-    Built by breadth-first descent from the basin anchor classes, labelling
-    children in sorted Hermite order except along the way out, where
-    child 0 is forced to be the next main-sequence class O_{h+1}.
+    Built by breadth-first descent from the basin anchor classes, each
+    anchor a seeded with ``anchor_lattice(inst, a)``, labelling children in
+    sorted Hermite order except along the way out, where child 0 is forced
+    to be the next main-sequence class O_{h+1}.
     """
 
     def __init__(self, inst: CaseInstance, n: int, max_contribution: int):
@@ -348,18 +347,18 @@ class ClassAtlas:
         spec = BuildingSpec(inst.tag, inst.p)
         self.tree = tree = build_truncated(spec, n, max(max_contribution - n, n))
         p = inst.p
-        # (address, class, classes excluded from its children)
-        if inst.tag is BasinKind.UNRAMIFIED:
-            queue = deque([(VertexAddr(0), order_lattice(p, 0), ())])
-        elif inst.tag is BasinKind.RAMIFIED:
-            o0, pi = order_lattice(p, 0), second_anchor_lattice(p)
-            queue = deque([(VertexAddr(0), o0, (pi,)), (VertexAddr(1), pi, (o0,))])
-        else:
-            hw = tree.halfwidth
-            line = {j: apartment_lattice(inst, j) for j in range(-hw - 1, hw + 2)}
-            queue = deque(
-                (VertexAddr(j), line[j], (line[j - 1], line[j + 1])) for j in range(-hw, hw + 1)
-            )
+        # Each anchor's class, with the classes of its neighbours on the basin
+        # excluded from its children.  The apartment goes on past each end of
+        # the truncation, so those neighbours include one class past each
+        # end; the unramified vertex and the ramified edge lie whole inside.
+        anchors = [v.anchor for v in tree.vertices if not v.word]
+        reach = 1 if inst.tag is BasinKind.SPLIT else 0
+        basin = range(anchors[0] - reach, anchors[-1] + reach + 1)
+        line = {a: anchor_lattice(inst, a) for a in basin}
+        queue = deque(
+            (VertexAddr(a), line[a], tuple(line[b] for b in (a - 1, a + 1) if b in line))
+            for a in anchors
+        )
         self._by_class: dict[LatticeHNF, VertexAddr] = {}
         self._by_addr: dict[VertexAddr, LatticeHNF] = {}
         while queue:

@@ -31,7 +31,6 @@ from .building import (
     distance,
     distance_profile,
     layer_members,
-    line_spec,
     way_out_vertex,
 )
 from .genfun import (
@@ -114,7 +113,7 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
     :func:`oracle_series_check` on the line into one.
     """
     kinds = (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED)
-    sources = [(line_spec(kind), n) for kind in kinds for n in range(n_max + 1)]
+    sources = [(BuildingSpec(kind, 1), n) for kind in kinds for n in range(n_max + 1)]
     profiles = [distance_profile(spec, way_out_vertex(spec, n), d_max) for spec, n in sources]
     layers, basins = _walk_functions(kinds, n_max)
     results: list[CheckResult] = []

@@ -11,7 +11,6 @@ from impactzeta.building import (
     BasinKind,
     BuildingSpec,
     distance_profile,
-    line_spec,
     way_out_vertex,
 )
 from impactzeta.genfun import (
@@ -163,8 +162,8 @@ def test_acceptance_7_degenerate_line_fixture():
     one_minus_x = ONE - x_pow(1)
     one_minus_x2 = ONE - x_pow(2)
     d_max = 12
-    unram_line = line_spec(BasinKind.UNRAMIFIED)
-    ram_line = line_spec(BasinKind.RAMIFIED)
+    unram_line = BuildingSpec(BasinKind.UNRAMIFIED, 1)
+    ram_line = BuildingSpec(BasinKind.RAMIFIED, 1)
     for n in range(6):
         layer_m1 = layer_genfun_q(BasinKind.UNRAMIFIED, n).subs_q(1)
         expected = RationalFn(ONE if n == 0 else ONE + x_pow(2 * n), one_minus_x2)

@@ -19,9 +19,18 @@ from impactzeta.building import (
 from impactzeta.errors import LimitExceeded, RadiusTooSmall, UnknownVertex
 
 
-def test_spec_requires_m_at_least_two():
-    with pytest.raises(ValueError):
-        BuildingSpec(BasinKind.UNRAMIFIED, 1)
+def test_spec_domain():
+    # m = 1 is the line, on which the split basin would be the whole tree.
+    for kind in BasinKind:
+        with pytest.raises(ValueError, match="at least"):
+            BuildingSpec(kind, 0)
+    with pytest.raises(ValueError, match="at least 2 on the split basin"):
+        BuildingSpec(BasinKind.SPLIT, 1)
+    for kind in (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED):
+        assert BuildingSpec(kind, 1).m == 1
+    for r in range(5):
+        assert len(build_line_tree(BasinKind.UNRAMIFIED, r)) == 2 * r + 1
+        assert len(build_line_tree(BasinKind.RAMIFIED, r)) == 2 * r + 2
 
 
 def test_unramified_vertex_count():

@@ -5,7 +5,9 @@ the sha256 digest of its stdout must equal the pinned values, and it must
 write nothing to stderr.  The digests were computed at ``c7d77ad``, before
 the order side returned its polynomials instead of records; those of the
 closed forms at n = 32 were computed at ``22b9aa7``, before each closed-form
-sum was built as one term list.  A change that alters an output on purpose
+sum was built as one term list; those of the widest basins at p = 2 were
+computed at ``5e0608a``, before ``ClassAtlas`` seeded its anchors from
+``padic.anchor_lattice``.  A change that alters an output on purpose
 updates the digest and says why in CHANGES.md.
 """
 
@@ -36,6 +38,12 @@ for _case in CASES:
         f"enumerate --case {_case} --p 3 -n 2 --max-contribution 5 --format csv",
         f"tree --basin {_case} --m 2 --radius 2 --format dot",
     ]
+# Placement at p = 2 on the widest basins: the split apartment out to
+# anchors -7 and 7, and the ramified edge at n = 2.
+COMMANDS += [
+    "enumerate --case split --p 2 -n 0 --max-contribution 7 --format csv",
+    "enumerate --case ramified --p 2 -n 2 --max-contribution 7 --format csv",
+]
 
 # command -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -68,6 +76,8 @@ GOLDEN = {
     "counts --basin split --m 2 -n 3 --max-d 12 --format csv": (0, "2c356197ff89ec4b4748c08d90ff09debee188c45fd35b3f88860aa9ea70345f"),
     "enumerate --case split --p 3 -n 2 --max-contribution 5 --format csv": (0, "54079c063c0bb15945ed3ed0af03023dd0a368a6719059bb68597e14cec1a150"),
     "tree --basin split --m 2 --radius 2 --format dot": (0, "e5e8ea6c9d860dc54d1f924bd4230912b416d96e2fa7bb94b697d762168015db"),
+    "enumerate --case split --p 2 -n 0 --max-contribution 7 --format csv": (0, "689c595c4fb3e6ca6a2d915f67cb8d47e957bff95a58efca78c58dea4c93ca42"),
+    "enumerate --case ramified --p 2 -n 2 --max-contribution 7 --format csv": (0, "0c0776bf9b10c98f2fa14cdd7bf17efc6e14839b057f49fdfd2c3dd72177a1d8"),
 }
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import pkgutil
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -34,7 +35,7 @@ from impactzeta.padic import (
     ClassAtlas,
     LatticeHNF,
     QuadElem,
-    apartment_lattice,
+    anchor_lattice,
     class_rep,
     coset_reps,
     enumerate_ideals,
@@ -45,7 +46,6 @@ from impactzeta.padic import (
     make_case,
     multiplier_level,
     order_lattice,
-    second_anchor_lattice,
     slope_map,
     source_and_distance_check,
     traveling,
@@ -267,21 +267,28 @@ def test_class_rep_strips_scaling():
 
 def test_lattice_distances(ram3):
     o0 = order_lattice(3, 0)
-    pi = second_anchor_lattice(3)
+    pi = anchor_lattice(ram3, 1)
     assert lattice_distance(ram3, o0, o0) == 0
     assert lattice_distance(ram3, o0, pi) == 1
     for n in range(5):
         assert lattice_distance(ram3, o0, class_rep(order_lattice(3, n))) == n
 
 
-def test_apartment_lattice_positions(split3):
-    assert apartment_lattice(split3, 0) == order_lattice(3, 0)
-    for i in range(-3, 4):
-        for j in range(-3, 4):
-            d = lattice_distance(
-                split3, apartment_lattice(split3, i), apartment_lattice(split3, j)
-            )
-            assert d == abs(i - j)
+def test_anchor_lattice_positions():
+    # Consecutive anchors are adjacent classes, on the ramified edge and
+    # along the split apartment, and anchor 0 is the class of O_0.
+    for p in (2, 3, 5):
+        o0 = order_lattice(p, 0)
+        ram, unram, split = (make_case(tag, p) for tag in (RAM, UNRAM, SPLIT))
+        for inst, anchors in ((ram, range(2)), (split, range(-3, 4))):
+            assert anchor_lattice(inst, 0) == o0
+            for a, b in product(anchors, repeat=2):
+                d = lattice_distance(inst, anchor_lattice(inst, a), anchor_lattice(inst, b))
+                assert d == abs(a - b)
+        # The class of Delta*O_0 across the ramified edge.
+        assert anchor_lattice(ram, 1) == LatticeHNF(p, 1, 0, 0)
+        # The unramified Delta is a unit, so it fixes the one basin vertex.
+        assert anchor_lattice(unram, 1) == anchor_lattice(unram, -1) == o0
 
 
 def test_lattice_record_contract(ram3):
@@ -329,12 +336,12 @@ def test_unit_action_fixes_basin(ram3, unram3, split3):
             assert lattice_distance(inst, acted, o0) == 0
     # Ramified units also fix the second anchor; split units fix every
     # apartment class.
-    pi = second_anchor_lattice(ram3.p)
+    pi = anchor_lattice(ram3, 1)
     for u in units(ram3):
         acted = _acted_class(ram3, u, pi)
         assert lattice_distance(ram3, acted, pi) == 0
     for j in (-2, 1, 3):
-        target = apartment_lattice(split3, j)
+        target = anchor_lattice(split3, j)
         for u in units(split3):
             acted = _acted_class(split3, u, target)
             assert lattice_distance(split3, acted, target) == 0
@@ -641,7 +648,7 @@ def test_atlas_spine(ram3):
     tree = atlas.tree
     for n in range(3):
         assert atlas.locate(order_lattice(3, n)) == way_out_vertex(tree.spec, n)
-    assert atlas.locate(second_anchor_lattice(3)).anchor == 1
+    assert atlas.locate(anchor_lattice(ram3, 1)).anchor == 1
     with pytest.raises(
         OutsideTruncation,
         match=r"class \[\[3\^0,0\],\[0,3\^5\]\] of ramified p=3 is outside "
@@ -698,6 +705,27 @@ def test_split_high_type_vertex(split3):
     for r in offset:
         assert abs(atlas.place(r.lattice).anchor) == 1
         assert r.distance_to_main == 3
+
+
+def test_principal_anchor_follows_type():
+    # A generator of type omega moves O_n along the basin as Delta^a does:
+    # a = omega_2 - omega_1 on the split apartment, omega_1 mod 2 across the
+    # ramified edge, and 0 at the unramified vertex.  A mirrored apartment
+    # fails on every split record of nonzero a.
+    predicted = {
+        SPLIT: lambda eps: eps[1] - eps[0],
+        RAM: lambda eps: eps[0] % 2,
+        UNRAM: lambda eps: 0,
+    }
+    checked = 0
+    for tag, p, n in product(BasinKind, (2, 3, 5), range(3)):
+        inst = make_case(tag, p)
+        atlas = ClassAtlas(inst, n, 6)
+        for r in enumerate_ideals(inst, n, 6):
+            if r.principal:
+                assert atlas.place(r.lattice).anchor == predicted[tag](r.type_eps), (tag, p, n, r)
+                checked += 1
+    assert checked == 737
 
 
 @pytest.mark.parametrize("p", [2, 3])
