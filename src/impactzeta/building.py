@@ -286,7 +286,7 @@ def layer_members(tree: TruncatedTree, n: int) -> frozenset[VertexAddr]:
     return frozenset(v for v in tree.vertices if v.height == n)
 
 
-def way_out_vertex(spec: BuildingSpec, n: int) -> VertexAddr:
+def way_out_vertex(n: int) -> VertexAddr:
     """The canonical height-n vertex on the way out: all-zero word off anchor 0."""
     if n < 0:
         raise ValueError("height must be nonnegative")

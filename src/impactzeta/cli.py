@@ -157,7 +157,7 @@ def cmd_genfun(args) -> int:
 
 def cmd_counts(args) -> int:
     spec = BuildingSpec(_KIND_NAMES[args.basin], args.m)
-    profile = distance_profile(spec, way_out_vertex(spec, args.n), args.max_d)
+    profile = distance_profile(spec, way_out_vertex(args.n), args.max_d)
     # Closed values are the series coefficients of the layer generating function.
     closed_series = series_expand(layer_genfun(spec, args.n), args.max_d).at_q(0)
     rows = []

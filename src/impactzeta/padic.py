@@ -238,11 +238,12 @@ def hnf(p: int, m00: int, m01: int, m10: int, m11: int) -> LatticeHNF:
 
     Column operations only (Cohen, GTM 138, section 2.4): the bottom entry of
     least valuation, p^b*u, becomes the pivot p^b; clearing the other bottom
-    entry leaves a first column of valuation val(det) - b.
+    entry leaves a first column of valuation val(det) - b.  Every caller
+    passes a full-rank span, so a singular one is an InvariantViolation.
     """
     det = m00 * m11 - m01 * m10
     if det == 0:
-        raise ValueError("the columns do not span a full-rank lattice")
+        raise InvariantViolation("the columns do not span a full-rank lattice")
     if m11 == 0 or (m10 != 0 and _val(p, m10) < _val(p, m11)):
         m00, m01, m10, m11 = m01, m00, m11, m10
     b = _val(p, m11)
@@ -301,25 +302,20 @@ def lattice_distance(inst: CaseInstance, A: LatticeHNF, B: LatticeHNF) -> int:
     return A.index_exponent + B.index_exponent - 2 * mv
 
 
-def neighbor_classes(inst: CaseInstance, L: LatticeHNF) -> list[LatticeHNF]:
-    """The p + 1 classes at tree distance 1 from the class of L."""
-    p = inst.p
-    m00, m01, m10, m11 = L.matrix()
-    out = []
-    seen = set()
-    subs = [(1, 0, 0, p)] + [(p, t, 0, 1) for t in range(p)]
-    for s00, s01, s10, s11 in subs:
-        c00 = m00 * s00 + m01 * s10
-        c10 = m10 * s00 + m11 * s10
-        c01 = m00 * s01 + m01 * s11
-        c11 = m10 * s01 + m11 * s11
-        cls = class_rep(hnf(p, c00, c01, c10, c11))
-        if cls not in seen:
-            seen.add(cls)
-            out.append(cls)
-    if len(out) != p + 1:
-        raise InvariantViolation("index-p sublattices did not give p+1 classes")
-    return out
+def neighbor_classes(L: LatticeHNF) -> list[LatticeHNF]:
+    """The p + 1 classes at tree distance 1 from the class of L.
+
+    They are the classes of the index-p sublattices (Serre, *Trees*, ch.
+    II.1): L*diag(1, p), then L*[[p, t], [0, 1]] for 0 <= t < p, whose
+    Hermite forms are (p, a, c*p mod p^a, b + 1) and (p, a + 1, c + t*p^a, b).
+    Two distinct sublattices of one index are never homothetic, so the
+    p + 1 classes are distinct.
+    """
+    p, a, c, b = L
+    pa = p**a
+    return [class_rep(LatticeHNF(p, a, c * p % pa, b + 1))] + [
+        class_rep(LatticeHNF(p, a + 1, c + t * pa, b)) for t in range(p)
+    ]
 
 
 class ClassAtlas:
@@ -336,8 +332,9 @@ class ClassAtlas:
 
     Built by breadth-first descent from the basin anchor classes, each
     anchor a seeded with ``anchor_lattice(inst, a)``, labelling children in
-    sorted Hermite order except along the way out, where child 0 is forced
-    to be the next main-sequence class O_{h+1}.
+    sorted Hermite order except at the way-out vertex of each height h,
+    whose child 0, the next way-out vertex, is forced to be the next
+    main-sequence class O_{h+1}.
     """
 
     def __init__(self, inst: CaseInstance, n: int, max_contribution: int):
@@ -346,7 +343,6 @@ class ClassAtlas:
         self.max_contribution = max_contribution
         spec = BuildingSpec(inst.tag, inst.p)
         self.tree = tree = build_truncated(spec, n, max(max_contribution - n, n))
-        p = inst.p
         # Each anchor's class, with the classes of its neighbours on the basin
         # excluded from its children.  The apartment goes on past each end of
         # the truncation, so those neighbours include one class past each
@@ -360,18 +356,16 @@ class ClassAtlas:
             for a in anchors
         )
         self._by_class: dict[LatticeHNF, VertexAddr] = {}
-        self._by_addr: dict[VertexAddr, LatticeHNF] = {}
         while queue:
             addr, lat, excluded = queue.popleft()
             if lat in self._by_class:
                 raise InvariantViolation(f"class {lat} registered twice")
             self._by_class[lat] = addr
-            self._by_addr[addr] = lat
             if addr.height >= tree.radius:
                 continue
-            children = sorted(c for c in neighbor_classes(inst, lat) if c not in excluded)
-            if addr.anchor == 0 and not any(addr.word):
-                nxt = order_lattice(p, addr.height + 1)
+            children = sorted(c for c in neighbor_classes(lat) if c not in excluded)
+            if addr == way_out_vertex(addr.height):
+                nxt = order_lattice(inst.p, addr.height + 1)
                 if nxt not in children:
                     raise InvariantViolation("main-sequence class missing among children")
                 children.remove(nxt)
@@ -393,15 +387,7 @@ class ClassAtlas:
 
     def place(self, L: LatticeHNF) -> VertexAddr:
         """The address of the class of the ideal L of O_n (in the O_n basis)."""
-        return self.locate(_ideal_class(self.inst, self.n, L))
-
-    def lattice_at(self, addr: VertexAddr) -> LatticeHNF:
-        if addr not in self._by_addr:
-            raise OutsideTruncation(
-                f"vertex {addr} of {self.inst.tag.value} p={self.inst.p} is outside the "
-                f"atlas of radius {self.tree.radius} halfwidth {self.tree.halfwidth}"
-            )
-        return self._by_addr[addr]
+        return self.locate(_ideal_class(self.n, L))
 
 
 # -- ideal enumeration ---------------------------------------------------
@@ -578,7 +564,7 @@ def _enumerate_core(
                 gen = QuadElem(inst, u, p**n * v)
                 _confirm_generator(inst, n, L, u, v)
                 eps = _exact_type(inst, u, p**n * v)
-                dist = lattice_distance(inst, _ideal_class(inst, n, L), on_class)
+                dist = lattice_distance(inst, _ideal_class(n, L), on_class)
                 records.append(
                     IdealRecord(
                         L, principal=True, generator=gen, type_eps=eps, distance_to_main=dist
@@ -609,7 +595,7 @@ def _exact_type(inst: CaseInstance, x: int, y: int) -> tuple[int, ...]:
     return (min(_val(p, z) for z in (x, y) if z),)
 
 
-def _ideal_class(inst: CaseInstance, n: int, L: LatticeHNF) -> LatticeHNF:
+def _ideal_class(n: int, L: LatticeHNF) -> LatticeHNF:
     """Homothety class of the ideal in {1, Delta} coordinates.
 
     The O_n basis differs from {1, Delta} by diag(1, p^n), so the Hermite
@@ -661,7 +647,7 @@ def source_and_distance_check(atlas: ClassAtlas) -> tuple[int, list[str]]:
     by_vertex: dict[VertexAddr, list[IdealRecord]] = {}
     for rec in enumerate_ideals(inst, n, max_contribution):
         by_vertex.setdefault(atlas.place(rec.lattice), []).append(rec)
-    target = way_out_vertex(tree.spec, n)
+    target = way_out_vertex(n)
     checked = 0
     failures = []
     for v in tree.vertices:

@@ -95,7 +95,7 @@ def oracle_suite(ms: Iterable[int], n_max: int, d_max: int) -> list[CheckResult]
     sources = [(BuildingSpec(k, m), n) for k, m, n in product(ALL_KINDS, ms, range(n_max + 1))]
     # Every BFS runs before any closed form is built or expanded, so a size
     # whose profile meets the state cap fails before the long series expansions.
-    profiles = [distance_profile(spec, way_out_vertex(spec, n), d_max) for spec, n in sources]
+    profiles = [distance_profile(spec, way_out_vertex(n), d_max) for spec, n in sources]
     layers, basins = _walk_functions(ALL_KINDS, n_max)
     results: list[CheckResult] = []
     for (spec, n), profile in zip(sources, profiles):
@@ -114,7 +114,7 @@ def line_fixture_suite(n_max: int = 6, d_max: int = 14) -> list[CheckResult]:
     """
     kinds = (BasinKind.UNRAMIFIED, BasinKind.RAMIFIED)
     sources = [(BuildingSpec(kind, 1), n) for kind in kinds for n in range(n_max + 1)]
-    profiles = [distance_profile(spec, way_out_vertex(spec, n), d_max) for spec, n in sources]
+    profiles = [distance_profile(spec, way_out_vertex(n), d_max) for spec, n in sources]
     layers, basins = _walk_functions(kinds, n_max)
     results: list[CheckResult] = []
     for n in range(n_max + 1):
@@ -217,7 +217,7 @@ def arithmetic_suite(
                 # vertices within contribution reach (the smallest
                 # contribution at a vertex is its distance to the way out).
                 vertex_set = {atlas.place(r.lattice) for r in principal}
-                way_out = way_out_vertex(tree.spec, n)
+                way_out = way_out_vertex(n)
                 reachable = {
                     v
                     for v in layer_members(tree, n)

@@ -107,7 +107,7 @@ def test_acceptance_5_combinatorial_oracle():
     for kind, m in product(ALL_KINDS, (2, 3)):
         spec = BuildingSpec(kind, m)
         for n in range(n_max + 1):
-            profile = distance_profile(spec, way_out_vertex(spec, n), d_max)
+            profile = distance_profile(spec, way_out_vertex(n), d_max)
             layer_series = series_expand(layer_genfun(spec, n), d_max).at_q(0)
             basin_series = series_expand(basin_genfun(spec, n), d_max).at_q(0)
             for d in range(d_max + 1):
@@ -172,8 +172,8 @@ def test_acceptance_7_degenerate_line_fixture():
         geometric = sum((x_pow(2 * k) for k in range(n + 1)), ZERO)
         ok = ok and basin_m1 == RationalFn(geometric, one_minus_x)
         # BFS on the two line fixtures agrees with the specialized series.
-        unram_profile = distance_profile(unram_line, way_out_vertex(unram_line, n), d_max)
-        ram_profile = distance_profile(ram_line, way_out_vertex(ram_line, n), d_max)
+        unram_profile = distance_profile(unram_line, way_out_vertex(n), d_max)
+        ram_profile = distance_profile(ram_line, way_out_vertex(n), d_max)
         layer_series = series_expand(layer_m1, d_max).at_q(0)
         basin_series = series_expand(basin_m1, d_max).at_q(0)
         for d in range(d_max + 1):

@@ -92,7 +92,7 @@ def test_cap_errors_name_what_overflowed(monkeypatch):
         match=r"^distance profile split m=3 source=0:0\.0 radius=40: "
         r"\d+ states, above MAX_VERTICES = 20$",
     ):
-        distance_profile(spec, way_out_vertex(spec, 2), 40)
+        distance_profile(spec, way_out_vertex(2), 40)
 
 
 def test_heights():
@@ -120,7 +120,7 @@ def test_address_strings():
 def test_distance_examples():
     ram = build_truncated(BuildingSpec(BasinKind.RAMIFIED, 2), 2)
     assert distance(ram, VertexAddr(0), VertexAddr(1)) == 1  # across the edge
-    assert distance(ram, way_out_vertex(ram.spec, 0), way_out_vertex(ram.spec, 2)) == 2
+    assert distance(ram, way_out_vertex(0), way_out_vertex(2)) == 2
     split = build_truncated(BuildingSpec(BasinKind.SPLIT, 2), 1, 4)
     # way-out O_1 to the off-apartment neighbor of apartment position 2:
     # 1 down + 2 along + 1 up.
@@ -142,7 +142,7 @@ def test_way_out_vertices():
     spec = BuildingSpec(BasinKind.UNRAMIFIED, 2)
     tree = build_truncated(spec, 4)
     for i, j in itertools.combinations(range(5), 2):
-        oi, oj = way_out_vertex(spec, i), way_out_vertex(spec, j)
+        oi, oj = way_out_vertex(i), way_out_vertex(j)
         assert distance(tree, oi, oj) == abs(i - j)
         assert oi in tree and oi.height == i
 
@@ -304,7 +304,7 @@ def test_deep_line_tree_builds_without_recursion(kind):
     tree = build_line_tree(kind, radius)
     basin = 1 if kind is BasinKind.UNRAMIFIED else 2
     assert len(tree) == basin + 2 * radius
-    far = way_out_vertex(tree.spec, radius)
+    far = way_out_vertex(radius)
     assert far in tree
     # From O_R the only other height-R vertex is the far end of the line.
     layer, _ = distance_profile(tree.spec, far, 2 * radius + basin - 1)

@@ -39,7 +39,7 @@ def spec(kind, m):
 
 def oracle(kind, m, n, d, which="layer"):
     """r(d, O_n) or p(d, O_n) from the distance profile of the way-out vertex."""
-    profile = distance_profile(spec(kind, m), way_out_vertex(spec(kind, m), n), d)
+    profile = distance_profile(spec(kind, m), way_out_vertex(n), d)
     return reachable_count_oracle(profile, d, which)
 
 
@@ -86,7 +86,7 @@ def test_oracle_examples():
 
 
 def test_oracle_truncation_guard():
-    profile = distance_profile(spec(SPLIT, 2), way_out_vertex(spec(SPLIT, 2), 1), 2)
+    profile = distance_profile(spec(SPLIT, 2), way_out_vertex(1), 2)
     with pytest.raises(TruncationInsufficient):
         reachable_count_oracle(profile, 5)
     assert reachable_count_oracle(profile, -1) == 0
@@ -96,7 +96,7 @@ def test_oracle_running_sums_follow_the_profile_read():
     # Two profiles read in turn: each read must use its own running sums,
     # which equal the slice sums over d, d - 2, ..., d mod 2.
     profiles = [
-        distance_profile(spec(kind, 2), way_out_vertex(spec(kind, 2), 2), 9)
+        distance_profile(spec(kind, 2), way_out_vertex(2), 9)
         for kind in (UNRAM, SPLIT)
     ]
     for d in range(10):
@@ -111,7 +111,7 @@ def test_oracle_keeps_the_running_sums_of_the_last_profile_only():
     # The module-level memo is bounded at one entry: the profile read last
     # and its (layer, basin) running sums, nothing of the profiles before.
     profiles = [
-        distance_profile(spec(kind, 2), way_out_vertex(spec(kind, 2), 1), 6)
+        distance_profile(spec(kind, 2), way_out_vertex(1), 6)
         for kind in (UNRAM, RAM, SPLIT)
     ]
     for profile in profiles:
@@ -125,7 +125,7 @@ def test_oracle_keeps_the_running_sums_of_the_last_profile_only():
 
 
 def test_oracle_rejects_unknown_height_class():
-    profile = distance_profile(spec(UNRAM, 2), way_out_vertex(spec(UNRAM, 2), 1), 2)
+    profile = distance_profile(spec(UNRAM, 2), way_out_vertex(1), 2)
     with pytest.raises(ValueError):
         reachable_count_oracle(profile, 2, "layers")
 
@@ -177,7 +177,7 @@ def test_histogram_oracle_matches_scan_referee(name):
     # neighbour rules at the basin.  Higher up, the way-out vertices.
     tree = _referee_tree(name)
     sources = [v for v in tree.vertices if v.height <= 2] + [
-        way_out_vertex(tree.spec, n) for n in range(3, REFEREE_RADIUS + 1)
+        way_out_vertex(n) for n in range(3, REFEREE_RADIUS + 1)
     ]
     for v in sources:
         max_d = _covered_d(tree, v)
@@ -235,7 +235,7 @@ def test_geodesic_examples():
     # Edge basin, n = 0: one basin vertex at distance 0, one at distance 1.
     g = geodesic_genfun_q(RAM, layer_genfun(spec(RAM, 2), 0))
     assert g == RationalFn(ONE + x_pow(1), ONE)
-    layer_at_distance = distance_profile(spec(RAM, 2), way_out_vertex(spec(RAM, 2), 0), 1)[0]
+    layer_at_distance = distance_profile(spec(RAM, 2), way_out_vertex(0), 1)[0]
     assert layer_at_distance[:2] == (1, 1)
     # Vertex basin: geodesic basin flavor is (1 - X^2) * basin, a polynomial.
     basin_geodesic = geodesic_genfun_q(UNRAM, basin_genfun(spec(UNRAM, 2), 1))
@@ -286,7 +286,7 @@ def test_recurrence_reports():
 @pytest.mark.parametrize("m", [2, 3])
 def test_oracle_equivalence_small_grid(kind, m):
     for n in range(4):
-        source = way_out_vertex(spec(kind, m), n)
+        source = way_out_vertex(n)
         profile = distance_profile(spec(kind, m), source, 8)
         walks = (layer_genfun_q(kind, n), basin_genfun_q(kind, n))
         assert all_passed(oracle_series_check(spec(kind, m), n, profile, walks))
@@ -319,7 +319,7 @@ def test_monotone_saturation():
     st.integers(0, 3),
 )
 def test_count_table_invariants(kind, m, n):
-    profile = distance_profile(spec(kind, m), way_out_vertex(spec(kind, m), n), 8)
+    profile = distance_profile(spec(kind, m), way_out_vertex(n), 8)
     r = [reachable_count_oracle(profile, d, "layer") for d in range(9)]
     p = [reachable_count_oracle(profile, d, "basin") for d in range(9)]
     assert r[0] == 1

@@ -45,6 +45,7 @@ from impactzeta.padic import (
     lattice_distance,
     make_case,
     multiplier_level,
+    neighbor_classes,
     order_lattice,
     slope_map,
     source_and_distance_check,
@@ -597,13 +598,15 @@ def test_type_histogram_fails_on_a_type_outside_the_grid(monkeypatch):
     assert {r.detail for r in histogram} == {"type (99,): 1 enumerated, 0 predicted"}
 
 
-def test_a_reducible_delta_at_p2_does_not_pass(monkeypatch):
+@pytest.mark.parametrize("tag", [RAM, UNRAM, SPLIT])
+def test_a_reducible_delta_at_p2_does_not_pass(monkeypatch, tag):
     # Delta^2 = Delta (tau = 1, delta = 0): x^2 + x = x(x + 1) splits mod 2,
-    # so this algebra is not the unramified field, and the oracle must not
-    # reproduce the unramified counts.
+    # so this algebra is none of the three cases, and the oracle must not
+    # reproduce their counts.  Delta is a zero divisor, so a lattice built
+    # from Delta*O_0 is singular: that is a package error, not a ValueError.
     monkeypatch.setattr(suites, "make_case", lambda tag, p: CaseInstance(tag, p, tau=1, delta=0))
     try:
-        results = arithmetic_suite(2, 6, {UNRAM: (2,)})
+        results = arithmetic_suite(2, 6, {tag: (2,)})
     except ImpactZetaError:
         return
     assert not all_passed(results)
@@ -645,9 +648,8 @@ def test_traveling_bijection_small(ram3):
 
 def test_atlas_spine(ram3):
     atlas = ClassAtlas(ram3, 2, 2)
-    tree = atlas.tree
     for n in range(3):
-        assert atlas.locate(order_lattice(3, n)) == way_out_vertex(tree.spec, n)
+        assert atlas.locate(order_lattice(3, n)) == way_out_vertex(n)
     assert atlas.locate(anchor_lattice(ram3, 1)).anchor == 1
     with pytest.raises(
         OutsideTruncation,
@@ -657,17 +659,43 @@ def test_atlas_spine(ram3):
         atlas.locate(order_lattice(3, 5))
 
 
-def test_atlas_covers_layers(unram3):
-    atlas = ClassAtlas(unram3, 2, 2)
-    tree = atlas.tree
-    located = {atlas.locate(atlas.lattice_at(v)) for v in tree.vertices}
-    assert located == set(tree.vertices)
-    with pytest.raises(
-        OutsideTruncation,
-        match=r"vertex 0:0\.0\.0 of unramified p=3 is outside the atlas of radius 2 "
-        r"halfwidth 0",
-    ):
-        atlas.lattice_at(VertexAddr(0, (0, 0, 0)))
+def _sublattice_classes(L):
+    """Classes of L*S over the index-p matrices S, each product in Hermite form."""
+    p = L.p
+    m00, m01, m10, m11 = L.matrix()
+    subs = [(1, 0, 0, p)] + [(p, t, 0, 1) for t in range(p)]
+    out = []
+    for s00, s01, s10, s11 in subs:
+        c00, c01 = m00 * s00 + m01 * s10, m00 * s01 + m01 * s11
+        c10, c11 = m10 * s00 + m11 * s10, m10 * s01 + m11 * s11
+        out.append(class_rep(hnf(p, c00, c01, c10, c11)))
+    return out
+
+
+def test_neighbor_classes_match_the_sublattice_products():
+    # The closed-form Hermite data of the p + 1 neighbours against the
+    # products L*S reduced by hnf, over every class of the atlases.
+    classes = 0
+    for tag, p in product(BasinKind, (2, 3, 5, 7)):
+        inst = make_case(tag, p)
+        for L in ClassAtlas(inst, 2, 4)._by_class:
+            near = neighbor_classes(L)
+            assert near == _sublattice_classes(L)
+            assert len(set(near)) == p + 1
+            assert all(lattice_distance(inst, L, c) == 1 for c in near)
+            classes += 1
+    assert classes == 780
+
+
+def test_atlas_covers_layers():
+    # The atlas is a bijection: one class per truncation vertex, each
+    # located back at its own vertex.
+    for tag, p in product(BasinKind, (2, 3)):
+        atlas = ClassAtlas(make_case(tag, p), 2, 2)
+        vertices = list(atlas._by_class.values())
+        assert len(vertices) == len(atlas.tree) and set(vertices) == set(atlas.tree.vertices)
+        for cls, v in atlas._by_class.items():
+            assert atlas.locate(cls) == v
 
 
 def test_ideal_vertices_fill_layer(ram3):
@@ -692,7 +720,7 @@ def test_ideal_vertex_of_main_order(ram3):
     on = [r for r in records if r.principal and r.type_eps == (0,)]
     assert len(on) == 1
     vertex = atlas.place(on[0].lattice)
-    assert vertex == way_out_vertex(atlas.tree.spec, 1)
+    assert vertex == way_out_vertex(1)
     # O_1 in {1, Delta} coordinates is the order lattice of level 1.
     assert atlas.locate(order_lattice(3, 1)) == vertex
 
@@ -750,7 +778,7 @@ def test_source_and_distance(monkeypatch, ram3, unram3, split3):
         tree = atlas.tree
         # One vertex checked per vertex within distance 4 of O_1 in the
         # truncation, and none fails.
-        target = way_out_vertex(tree.spec, 1)
+        target = way_out_vertex(1)
         ball = [v for v in tree.vertices if distance(tree, v, target) <= 4]
         assert source_and_distance_check(atlas) == (len(ball), [])
         # Every ball vertex holds an ideal, so a level one too high fails
@@ -762,14 +790,18 @@ def test_source_and_distance(monkeypatch, ram3, unram3, split3):
         assert [f.partition(": ")[0] for f in failures] == [f"vertex={v}" for v in ball]
 
 
-def _class_moved_by_delta(inst, n, L):
-    """_ideal_class with every non-principal class moved one Delta step."""
-    cls = _ideal_class(inst, n, L)
-    if multiplier_level(inst, n, L) == n:
-        return cls
-    m00, m01, _, m11 = cls.matrix()
-    # Delta*(x, y) = (-delta*y, x + tau*y) in the {1, Delta} coordinates.
-    return class_rep(hnf(inst.p, 0, -inst.delta * m11, m00, m01 + inst.tau * m11))
+def _class_moved_by_delta(inst):
+    """_ideal_class over inst, with every non-principal class moved one Delta step."""
+
+    def moved(n, L):
+        cls = _ideal_class(n, L)
+        if multiplier_level(inst, n, L) == n:
+            return cls
+        m00, m01, _, m11 = cls.matrix()
+        # Delta*(x, y) = (-delta*y, x + tau*y) in the {1, Delta} coordinates.
+        return class_rep(hnf(inst.p, 0, -inst.delta * m11, m00, m01 + inst.tau * m11))
+
+    return moved
 
 
 @pytest.mark.parametrize(
@@ -781,7 +813,7 @@ def test_source_check_sees_moved_non_principal_classes(monkeypatch, tag, p, n):
     inst = make_case(tag, p)
     atlas = ClassAtlas(inst, n, 6)
     assert source_and_distance_check(atlas)[1] == []
-    monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta)
+    monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta(inst))
     assert source_and_distance_check(atlas)[1]
 
 
@@ -878,7 +910,7 @@ def test_suite_sees_moved_non_principal_classes(monkeypatch, tag, killed):
     # Split is left out: there the moved classes leave the truncation, and
     # the mutant raises OutsideTruncation instead of failing a check.
     assert _failing_checks({tag: (3,)}) == set()
-    monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta)
+    monkeypatch.setattr(padic, "_ideal_class", _class_moved_by_delta(make_case(tag, 3)))
     assert _failing_checks({tag: (3,)}) == killed
 
 
@@ -902,7 +934,7 @@ def test_suite_sees_a_multiplier_level_one_too_high(monkeypatch):
 def test_unramified_distance_two_sources(unram3):
     atlas = ClassAtlas(unram3, 1, 4)
     records = enumerate_ideals(unram3, 1, 4)
-    target = way_out_vertex(atlas.tree.spec, 1)
+    target = way_out_vertex(1)
     for r in records:
         vertex = atlas.place(r.lattice)
         if r.principal and vertex != target:

@@ -27,7 +27,6 @@ SRC = ROOT / "src" / "impactzeta"
 REFEREES = {
     "slope_map": "referee for the order-q step behind classify_type's q^d",
     "poly_from_json": "inverse of cli.poly_to_json, for round-trip tests",
-    "ClassAtlas.lattice_at": "inverse of ClassAtlas.locate, for the bijection test",
 }
 
 SPAN_ONLY = {
@@ -153,3 +152,38 @@ def unread_fields() -> set[str]:
 
 def test_no_record_field_goes_unread():
     assert unread_fields() == set()
+
+
+def unread_parameters() -> set[str]:
+    """Parameters of functions in ``src/impactzeta`` that their bodies never read.
+
+    Every function counts: module-level, methods, nested functions and
+    lambdas.  A parameter is read when its name is loaded anywhere in the
+    body, nested scopes included, so a closure's read counts.  A parameter
+    nothing reads is a second copy of a datum the caller already holds, or
+    a leftover of an older signature.
+
+    Blind spot: a nested scope that rebinds the name and reads its own
+    binding counts as a read of the outer parameter.
+    """
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_parse(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            name = getattr(fn, "name", "<lambda>")
+            unread |= {f"{path.stem}.{name}({x.arg})" for x in params if x and x.arg not in read}
+    return unread
+
+
+def test_no_parameter_goes_unread():
+    assert unread_parameters() == set()
