@@ -201,7 +201,7 @@ def cmd_enumerate(args) -> int:
             "principal": r.principal,
             "lattice": str(r.lattice),
             "index_exponent": r.lattice.index_exponent,
-            "generator": "" if r.generator is None else str(r.generator),
+            "generator": "" if r.generator is None else "{} + {}*D".format(*r.generator),
         }
         for r in records
     ]

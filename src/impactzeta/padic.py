@@ -9,12 +9,15 @@ fixes a quadratic algebra O_K[Delta] with Delta^2 = tau*Delta - delta:
               irreducible mod 2)
 * split:      Delta^2 = (p+1)Delta - p,  realizing Delta = (1, p) in K x K
 
-Elements x + y*Delta are held as exact integer pairs.  Rank-2 lattices
-are 2x2 column spans over Z_p in upper-triangular Hermite form, computed
-from exact integer columns; homothety classes (vertices of the
-degree-(p+1) tree) are primitive Hermite forms.
-Tree distance between classes is the gap of the elementary-divisor
-valuations of the change-of-basis matrix.
+``CaseInstance`` refuses a (tau, delta) outside its case: a ramified Delta
+is Eisenstein (p | tau, p || delta), an unramified x^2 - tau*x + delta is
+irreducible mod p, and a split Delta is exactly (1, p), which
+``_exact_type`` reads.  Elements x + y*Delta are integer pairs (x, y).
+Rank-2 lattices are 2x2 column spans over Z_p in upper-triangular Hermite
+form, computed from exact integer columns; homothety classes (vertices of
+the degree-(p+1) tree) are primitive Hermite forms.  Tree distance between
+classes is the gap of the elementary-divisor valuations of the
+change-of-basis matrix.
 
 The ideal enumeration below is an oracle: it lists every finite-index
 sublattice of O_n = O_K[p^n Delta] up to the index bound, keeps the ones
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .building import (
@@ -81,12 +84,9 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _smallest_nonresidue(p: int) -> int:
-    squares = {(x * x) % p for x in range(1, p)}
-    for eps in range(2, p):
-        if eps not in squares:
-            return eps
-    raise InvariantViolation("odd primes always have a nonresidue")
+def _is_nonresidue(e: int, p: int) -> bool:
+    """Euler's criterion at an odd prime p: e^((p-1)/2) = -1 mod p."""
+    return pow(e, (p - 1) // 2, p) == p - 1
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,19 @@ class CaseInstance:
     tau: int
     delta: int
 
+    def __post_init__(self):
+        p, tau, delta = self.p, self.tau, self.delta
+        if self.tag is BasinKind.RAMIFIED:
+            ok = tau % p == 0 and delta % p == 0 and delta % (p * p) != 0
+        elif self.tag is BasinKind.SPLIT:
+            ok = (tau, delta) == (p + 1, p)
+        elif p == 2:
+            ok = tau * delta % 2 == 1
+        else:
+            ok = _is_nonresidue(tau * tau - 4 * delta, p)
+        if not ok:
+            raise ValueError(f"tau={tau}, delta={delta} is not a {self.tag.value} algebra at p={p}")
+
 
 def make_case(tag: BasinKind, p: int) -> CaseInstance:
     if not is_prime(p):
@@ -108,31 +121,14 @@ def make_case(tag: BasinKind, p: int) -> CaseInstance:
         return CaseInstance(tag, p, tau=p + 1, delta=p)
     if p == 2:
         return CaseInstance(tag, p, tau=1, delta=1)
-    return CaseInstance(tag, p, tau=0, delta=-_smallest_nonresidue(p))
+    eps = next(e for e in range(2, p) if _is_nonresidue(e, p))
+    return CaseInstance(tag, p, tau=0, delta=-eps)
 
 
-@dataclass(frozen=True)
-class QuadElem:
-    """x + y*Delta with exact integer coordinates."""
-
-    inst: CaseInstance = field(repr=False)
-    x: int
-    y: int
-
-    def __mul__(self, other: QuadElem) -> QuadElem:
-        m00, m01, m10, m11 = _mul_matrix(self.inst, 0, self.x, self.y)
-        return QuadElem(self.inst, m00 * other.x + m01 * other.y, m10 * other.x + m11 * other.y)
-
-    def norm(self) -> int:
-        """N(x + y*Delta) = x^2 + tau*x*y + delta*y^2."""
-        tau, delta = self.inst.tau, self.inst.delta
-        return self.x * self.x + tau * self.x * self.y + delta * self.y * self.y
-
-    def is_unit(self) -> bool:
-        return self.norm() % self.inst.p != 0
-
-    def __str__(self) -> str:
-        return f"{self.x} + {self.y}*D"
+def _is_unit(inst: CaseInstance, u: tuple[int, int]) -> bool:
+    """Whether x + y*Delta is a unit: its norm x^2 + tau*x*y + delta*y^2 is prime to p."""
+    x, y = u
+    return (x * x + inst.tau * x * y + inst.delta * y * y) % inst.p != 0
 
 
 def _mul_matrix(inst: CaseInstance, n: int, u: int, v: int) -> tuple[int, int, int, int]:
@@ -153,23 +149,22 @@ def _val(p: int, r: int) -> int:
     return v
 
 
-def in_order_unit(inst: CaseInstance, n: int, a: QuadElem) -> bool:
+def in_order_unit(inst: CaseInstance, n: int, u: tuple[int, int]) -> bool:
     """A unit of O_n = O_K[p^n Delta]: Delta coordinate of val >= n, unit norm."""
-    return a.y % inst.p**n == 0 and a.is_unit()
+    return u[1] % inst.p**n == 0 and _is_unit(inst, u)
 
 
-def slope_map(inst: CaseInstance, n: int, u: QuadElem) -> int:
+def slope_map(inst: CaseInstance, n: int, u: tuple[int, int]) -> int:
     """z * w^{-1} mod p for a unit u = w + z p^n Delta of O_n (n >= 1)."""
     if n < 1:
         raise ValueError("the slope map is defined for n >= 1")
     if not in_order_unit(inst, n, u):
         raise NotInOrderUnit(f"{u} is not a unit of level {n}")
-    z = (u.y // inst.p**n) % inst.p
-    winv = pow(u.x % inst.p, -1, inst.p)
-    return (z * winv) % inst.p
+    x, y = u
+    return (y // inst.p**n) * pow(x, -1, inst.p) % inst.p
 
 
-def coset_reps(inst: CaseInstance, n: int) -> list[QuadElem]:
+def coset_reps(inst: CaseInstance, n: int) -> list[tuple[int, int]]:
     """Representatives of O_0^*/O_n^*, one per coset, from a scan of coset keys.
 
     O_n^* = Z_p^* * (1 + p^n O_0), so units u and v share a coset exactly
@@ -187,7 +182,7 @@ def coset_reps(inst: CaseInstance, n: int) -> list[QuadElem]:
     if n < 0:
         raise ValueError("need n >= 0")
     if n == 0:
-        return [QuadElem(inst, 1, 0)]
+        return [(1, 0)]
     p = inst.p
     pn = p**n
     count = pn + pn // p
@@ -196,9 +191,8 @@ def coset_reps(inst: CaseInstance, n: int) -> list[QuadElem]:
             f"coset representatives {inst.tag.value} p={p} n={n}: "
             f"{count} candidate keys, above MAX_COSET_REPS = {MAX_COSET_REPS}"
         )
-    keys = [QuadElem(inst, 1, y) for y in range(pn)]
-    keys += [QuadElem(inst, x, 1) for x in range(0, pn, p)]
-    return [u for u in keys if u.is_unit()]
+    keys = [(1, y) for y in range(pn)] + [(x, 1) for x in range(0, pn, p)]
+    return [u for u in keys if _is_unit(inst, u)]
 
 
 # -- lattices -----------------------------------------------------------
@@ -397,14 +391,19 @@ class ClassAtlas:
 class IdealRecord:
     """One enumerated finite-index ideal of O_n (in the O_n basis).
 
-    It carries no tree address: ``ClassAtlas.place`` gives that.
+    It carries no tree address: ``ClassAtlas.place`` gives that.  The
+    generator is the pair (x, y) of x + y*Delta, or None when the ideal is
+    not principal.
     """
 
     lattice: LatticeHNF
-    principal: bool
-    generator: Optional[QuadElem] = None
+    generator: Optional[tuple[int, int]] = None
     type_eps: Optional[tuple[int, ...]] = None
     distance_to_main: Optional[int] = None
+
+    @property
+    def principal(self) -> bool:
+        return self.generator is not None
 
 
 def is_ideal(inst: CaseInstance, n: int, L: tuple[int, int, int, int]) -> bool:
@@ -558,18 +557,13 @@ def _enumerate_core(
                 L = tuple.__new__(LatticeHNF, (p, a, c, b))
                 coords = _find_generator(inst, n, L)
                 if coords is None:
-                    records.append(IdealRecord(L, principal=False))
+                    records.append(IdealRecord(L))
                     continue
                 u, v = coords
-                gen = QuadElem(inst, u, p**n * v)
                 _confirm_generator(inst, n, L, u, v)
-                eps = _exact_type(inst, u, p**n * v)
+                gen = (u, p**n * v)
                 dist = lattice_distance(inst, _ideal_class(n, L), on_class)
-                records.append(
-                    IdealRecord(
-                        L, principal=True, generator=gen, type_eps=eps, distance_to_main=dist
-                    )
-                )
+                records.append(IdealRecord(L, gen, _exact_type(inst, *gen), dist))
     return tuple(records)
 
 

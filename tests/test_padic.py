@@ -34,7 +34,6 @@ from impactzeta.padic import (
     CaseInstance,
     ClassAtlas,
     LatticeHNF,
-    QuadElem,
     anchor_lattice,
     class_rep,
     coset_reps,
@@ -88,26 +87,58 @@ def test_make_case_parameters(ram3, unram3):
     assert (split5.tau, split5.delta) == (6, 5)
 
 
+PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
 def test_make_case_validation():
-    # Every case has an instance at every prime, p = 2 included; only a
-    # non-prime p is refused.
+    # Every case has an instance at every prime, p = 2 included, that its
+    # case rule accepts; only a non-prime p is refused.
     for tag in (RAM, UNRAM, SPLIT):
-        assert make_case(tag, 2).p == 2
+        for p in PRIMES_BELOW_200:
+            assert make_case(tag, p).p == p
         for p in (0, 1, 4, 9):
             with pytest.raises(UnsupportedPrime, match=f"{p} is not prime"):
                 make_case(tag, p)
 
 
+def test_unramified_delta_is_minus_the_least_nonresidue():
+    # Referee: the set of squares mod p, against Euler's criterion.
+    for p in PRIMES_BELOW_200[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        least = min(e for e in range(2, p) if e not in squares)
+        assert make_case(UNRAM, p).delta == -least, p
+
+
+@pytest.mark.parametrize(
+    "tag,p,tau,delta",
+    [
+        (RAM, 2, 0, 4),  # p^2 divides delta: not Eisenstein
+        (RAM, 3, 0, 9),
+        (RAM, 2, 1, 2),  # p does not divide tau
+        (UNRAM, 3, 0, -1),  # x^2 - 1 splits mod 3
+        (SPLIT, 3, 1, 3),  # a split Delta other than (1, p)
+        (SPLIT, 3, 3, 3),
+    ],
+)
+def test_case_instance_refuses_an_algebra_outside_its_case(tag, p, tau, delta):
+    message = f"tau={tau}, delta={delta} is not a {tag.value} algebra at p={p}"
+    with pytest.raises(ValueError, match=message):
+        CaseInstance(tag, p, tau, delta)
+
+
 # -- element arithmetic ------------------------------------------------------
 
 
+def _mul(inst, u, v):
+    """The product of the elements u = (x, y) and v of O_0, as a pair."""
+    m00, m01, m10, m11 = padic._mul_matrix(inst, 0, *u)
+    return (m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1])
+
+
 def test_mul_examples(ram3, split3):
-    d = QuadElem(split3, 0, 1)
-    assert d * d == QuadElem(split3, -3, 4)  # minimal polynomial X^2-4X+3
-    a = QuadElem(ram3, 1, 1) * QuadElem(ram3, 1, -1)
-    assert a == QuadElem(ram3, 4, 0)  # (1+D)(1-D) = 1 - D^2 = 1 + 3
-    x = QuadElem(ram3, 5, 7)
-    assert x * QuadElem(ram3, 1, 0) == x
+    assert _mul(split3, (0, 1), (0, 1)) == (-3, 4)  # minimal polynomial X^2-4X+3
+    assert _mul(ram3, (1, 1), (1, -1)) == (4, 0)  # (1+D)(1-D) = 1 - D^2 = 1 + 3
+    assert _mul(ram3, (5, 7), (1, 0)) == (5, 7)
 
 
 def test_elem_type_examples(ram3, unram3, split3):
@@ -141,24 +172,20 @@ def test_enumeration_overflow_guard():
 
 def test_slope_map_examples(ram3):
     p = 3
-    assert slope_map(ram3, 1, QuadElem(ram3, 1, 2 * p)) == 2
-    assert slope_map(ram3, 1, QuadElem(ram3, 1, 0)) == 0
-    assert slope_map(ram3, 1, QuadElem(ram3, 2, p)) == 2  # 1 * 2^{-1} = 2 mod 3
+    assert slope_map(ram3, 1, (1, 2 * p)) == 2
+    assert slope_map(ram3, 1, (1, 0)) == 0
+    assert slope_map(ram3, 1, (2, p)) == 2  # 1 * 2^{-1} = 2 mod 3
     with pytest.raises(NotInOrderUnit):
-        slope_map(ram3, 1, QuadElem(ram3, 1, 1))
+        slope_map(ram3, 1, (1, 1))
 
 
 def test_slope_map_is_homomorphism(ram3, unram3, split3):
     for inst in (ram3, unram3, split3):
         n = 1
-        units = [
-            QuadElem(inst, w, z * inst.p**n)
-            for w in range(1, inst.p)
-            for z in range(inst.p)
-        ]
+        units = [(w, z * inst.p**n) for w in range(1, inst.p) for z in range(inst.p)]
         for u in units:
             for v in units:
-                lhs = slope_map(inst, n, u * v)
+                lhs = slope_map(inst, n, _mul(inst, u, v))
                 rhs = (slope_map(inst, n, u) + slope_map(inst, n, v)) % inst.p
                 assert lhs == rhs
         # Kernel: slope 0 exactly on the next order's units.
@@ -167,15 +194,13 @@ def test_slope_map_is_homomorphism(ram3, unram3, split3):
 
 
 def test_coset_reps_counts(ram3, unram3, split3):
-    assert coset_reps(ram3, 0) == [QuadElem(ram3, 1, 0)]
+    assert coset_reps(ram3, 0) == [(1, 0)]
     assert len(coset_reps(ram3, 2)) == 9
     assert len(coset_reps(unram3, 1)) == 4
     assert len(coset_reps(split3, 1)) == 2
     # F_4^* / F_2^* has order 3: the keys 1, 1 + Delta and Delta.
     unram2 = make_case(UNRAM, 2)
-    assert coset_reps(unram2, 1) == [
-        QuadElem(unram2, 1, 0), QuadElem(unram2, 1, 1), QuadElem(unram2, 0, 1)
-    ]
+    assert coset_reps(unram2, 1) == [(1, 0), (1, 1), (0, 1)]
     with pytest.raises(ValueError, match="n >= 0"):
         coset_reps(ram3, -1)
     # [O_{n-d}^* : O_n^*] = p^d: each level past the first adds a factor p.
@@ -207,8 +232,8 @@ def _same_coset(inst, n, u, v):
 
     conj(v) = x + y*(tau - Delta) is v^{-1} * N(v), and N(v) is a p-adic unit.
     """
-    conj = QuadElem(inst, v.x + inst.tau * v.y, -v.y)
-    return in_order_unit(inst, n, u * conj)
+    x, y = v
+    return in_order_unit(inst, n, _mul(inst, u, (x + inst.tau * y, -y)))
 
 
 @pytest.mark.parametrize("tag,p", CASES, ids=[f"{t.value}-{p}" for t, p in CASES])
@@ -223,16 +248,16 @@ def test_unit_class_key_matches_pairwise_quotient_test(tag, p):
         reps = coset_reps(inst, n)
         for x in range(pn):
             for y in range(pn):
-                u = QuadElem(inst, x, y)
-                if u.is_unit():
+                u = (x, y)
+                if in_order_unit(inst, 0, u):
                     hits = [v for v in reps if _same_coset(inst, n, u, v)]
                     assert len(hits) == 1, (n, u, hits)
     # The referee accepts pairs built equivalent, u * lambda * (1 + p^n w),
     # with large coordinates.
     for n in (1, 3):
         for u in coset_reps(inst, n)[:20]:
-            for lam, w in [(1, QuadElem(inst, 5, 7)), (p * p - 1, QuadElem(inst, -3, 11))]:
-                v = u * QuadElem(inst, lam, 0) * QuadElem(inst, 1 + p**n * w.x, p**n * w.y)
+            for lam, (wx, wy) in [(1, (5, 7)), (p * p - 1, (-3, 11))]:
+                v = _mul(inst, _mul(inst, u, (lam, 0)), (1 + p**n * wx, p**n * wy))
                 assert _same_coset(inst, n, u, v)
 
 
@@ -318,9 +343,8 @@ def test_lattice_record_contract(ram3):
 def _acted_class(inst, u, base):
     """Homothety class of u * base, multiplying each column of base by u."""
     b00, b01, b10, b11 = base.matrix()
-    c0 = u * QuadElem(inst, b00, b10)
-    c1 = u * QuadElem(inst, b01, b11)
-    return class_rep(hnf(inst.p, c0.x, c1.x, c0.y, c1.y))
+    (x0, y0), (x1, y1) = _mul(inst, u, (b00, b10)), _mul(inst, u, (b01, b11))
+    return class_rep(hnf(inst.p, x0, x1, y0, y1))
 
 
 def test_unit_action_fixes_basin(ram3, unram3, split3):
@@ -332,7 +356,7 @@ def test_unit_action_fixes_basin(ram3, unram3, split3):
     for inst in (ram3, unram3, split3):
         o0 = order_lattice(inst.p, 0)
         for u in units(inst):
-            assert u.norm() % inst.p != 0
+            assert in_order_unit(inst, 0, u)
             acted = _acted_class(inst, u, o0)
             assert lattice_distance(inst, acted, o0) == 0
     # Ramified units also fix the second anchor; split units fix every
@@ -534,7 +558,7 @@ def test_generator_search_matches_exhaustive_scan(tag, p, bound):
             assert rec.principal == (coords is not None), rec.lattice
             if coords is not None:
                 u, v = coords
-                assert rec.generator == QuadElem(inst, u, p**n * v)
+                assert rec.generator == (u, p**n * v)
             # The multiplier-ring criterion is a second, norm-free decider.
             assert (multiplier_level(inst, n, rec.lattice) == n) == rec.principal
 
@@ -599,17 +623,32 @@ def test_type_histogram_fails_on_a_type_outside_the_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("tag", [RAM, UNRAM, SPLIT])
-def test_a_reducible_delta_at_p2_does_not_pass(monkeypatch, tag):
+def test_a_reducible_delta_at_p2_is_refused(tag):
     # Delta^2 = Delta (tau = 1, delta = 0): x^2 + x = x(x + 1) splits mod 2,
-    # so this algebra is none of the three cases, and the oracle must not
-    # reproduce their counts.  Delta is a zero divisor, so a lattice built
-    # from Delta*O_0 is singular: that is a package error, not a ValueError.
-    monkeypatch.setattr(suites, "make_case", lambda tag, p: CaseInstance(tag, p, tau=1, delta=0))
+    # so this algebra is none of the three cases, and no instance is built.
+    with pytest.raises(ValueError, match=f"tau=1, delta=0 is not a {tag.value} algebra at p=2"):
+        CaseInstance(tag, 2, tau=1, delta=0)
+
+
+OTHER_ALGEBRAS = [
+    (RAM, 2, 2, -2), (RAM, 2, 0, 6), (RAM, 3, 3, 3),
+    (UNRAM, 3, 1, -1), (UNRAM, 5, 0, -3),
+]
+
+
+@pytest.mark.parametrize("tag,p,tau,delta", OTHER_ALGEBRAS)
+def test_the_suite_passes_on_other_algebras_of_the_case(monkeypatch, tag, p, tau, delta):
+    # The zeta functions depend only on the case, so every (tau, delta) that
+    # the case rule accepts passes the suite.  Split is left out: its rule
+    # accepts only Delta = (1, p), which _exact_type reads.
+    monkeypatch.setattr(suites, "make_case", lambda tag, p: CaseInstance(tag, p, tau, delta))
+    _enumerate_core.cache_clear()
     try:
-        results = arithmetic_suite(2, 6, {tag: (2,)})
-    except ImpactZetaError:
-        return
-    assert not all_passed(results)
+        results = arithmetic_suite(2, 6, {tag: (p,)})
+    finally:
+        _enumerate_core.cache_clear()
+    assert len(results) == 23
+    assert all_passed(results), [r.name for r in results if not r.passed]
 
 
 def test_traveling_examples(ram3):
