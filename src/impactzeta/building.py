@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import LimitExceeded, RadiusTooSmall, UnknownVertex
+from .poly import BiPoly
 
 # Largest truncated tree, and most BFS states one distance profile may visit.
 MAX_VERTICES = 200_000
@@ -78,8 +79,9 @@ class VertexAddr:
         return f"{self.anchor}" if not body else f"{self.anchor}:{body}"
 
 
-def first_arity(kind: BasinKind, m: int) -> int:
-    """Number of off-basin children of a basin vertex."""
+def first_arity(kind: BasinKind, m: int | BiPoly) -> int | BiPoly:
+    """Off-basin children of a basin vertex, for numeric m or symbolic m = q;
+    times m^(n - 1), the number of height-n vertices above one anchor."""
     if kind is BasinKind.UNRAMIFIED:
         return m + 1
     if kind is BasinKind.RAMIFIED:

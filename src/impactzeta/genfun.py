@@ -16,9 +16,12 @@ three basins:
     layer(n) = sum_{k<n} m^k X^{2k}  +  plateau(n) * X^{2n} / tail
 
 with tail (1 - X) for the edge basin, (1 - X^2) for the vertex basin and
-(1 - X)^2 for the apartment basin, and plateau(n) the saturated walk count
-m^n, (m+1)m^{n-1}, (m-1)m^{n-1} respectively (1 when n = 0).  Basin
-generating functions unroll the recurrence
+(1 - X)^2 for the apartment basin, and plateau(n) the number of height-n
+vertices above one anchor, ``first_arity * m^{n-1}`` (1 when n = 0), read
+from :func:`building.first_arity` with m kept symbolic as q.  So the
+``main-theorem`` check compares the unit index [O_0^* : O_n^*] of the order
+side with the branching rule of the tree.  Basin generating functions
+unroll the recurrence
 
     basin(n) = layer(n) + X * basin(n-1).
 
@@ -27,15 +30,15 @@ symbolic (the same indeterminate as q); numeric m is a substitution view.
 The walk counts are the series coefficients of these functions, which
 :func:`oracle_series_check` compares with the BFS oracle at every d.
 A piecewise formula below spells the layer coefficients out (m^k at
-d = 2k < 2n, the plateau at d >= 2n, (l+1)(m-1)m^{n-1} at d = 2n + l in the
-apartment case); no command reads it.
+d = 2k < 2n, the plateau at d >= 2n, l + 1 times the plateau at d = 2n + l
+in the apartment case); no command reads it.
 """
 
 from __future__ import annotations
 
-from .building import BasinKind, BuildingSpec
+from .building import BasinKind, BuildingSpec, first_arity
 from .errors import TruncationInsufficient, UnsupportedHeight
-from .poly import ONE, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sums
+from .poly import ONE, Q, BiPoly, RationalFn, exact_div, q_pow, series_expand, x_pow, x_shift_sums
 from .report import CheckResult
 
 _ONE_MINUS_X = ONE - x_pow(1)
@@ -50,24 +53,14 @@ def tail_denominator(kind: BasinKind) -> BiPoly:
     return _ONE_MINUS_X * _ONE_MINUS_X
 
 
-def _plateau_q(kind: BasinKind, n: int) -> BiPoly:
-    """Saturated walk count (ramified/unramified) or growth slope (split)."""
-    if n == 0:
-        return ONE
-    if kind is BasinKind.RAMIFIED:
-        return q_pow(n)
-    if kind is BasinKind.UNRAMIFIED:
-        return (q_pow(1) + 1) * q_pow(n - 1)
-    return (q_pow(1) - 1) * q_pow(n - 1)
-
-
 def layer_genfun_q(kind: BasinKind, n: int) -> RationalFn:
     """Layer generating function from O_n with the branching symbolic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tail = tail_denominator(kind)
     low = BiPoly(tuple((k, 2 * k, 1) for k in range(n)))
-    num = low * tail + _plateau_q(kind, n) * x_pow(2 * n)
+    plateau = first_arity(kind, Q) * q_pow(n - 1) if n else ONE
+    num = low * tail + plateau * x_pow(2 * n)
     return RationalFn(num, tail)
 
 
@@ -106,16 +99,15 @@ def reachable_count_closed(spec: BuildingSpec, n: int, d: int) -> int:
         raise UnsupportedHeight("closed-form walk counts need n >= 1")
     if d < 0:
         raise ValueError("walk length must be nonnegative")
-    m = spec.m
-    kind = spec.kind
+    m, kind = spec.m, spec.kind
     if d < 2 * n:
         return m ** (d // 2) if d % 2 == 0 else 0
+    plateau = first_arity(kind, m) * m ** (n - 1)
     if kind is BasinKind.RAMIFIED:
-        return m**n
+        return plateau
     if kind is BasinKind.UNRAMIFIED:
-        return (m + 1) * m ** (n - 1) if d % 2 == 0 else 0
-    ell = d - 2 * n
-    return (ell + 1) * (m - 1) * m ** (n - 1)
+        return plateau if d % 2 == 0 else 0
+    return (d - 2 * n + 1) * plateau
 
 
 # The last profile read by reachable_count_oracle and its running parity

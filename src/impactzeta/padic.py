@@ -100,6 +100,8 @@ class CaseInstance:
 
     def __post_init__(self):
         p, tau, delta = self.p, self.tau, self.delta
+        if not is_prime(p):
+            raise UnsupportedPrime(f"{p} is not prime")
         if self.tag is BasinKind.RAMIFIED:
             ok = tau % p == 0 and delta % p == 0 and delta % (p * p) != 0
         elif self.tag is BasinKind.SPLIT:

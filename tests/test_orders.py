@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from impactzeta import genfun, orders, poly
+from impactzeta import building, genfun, orders, poly, suites
 from impactzeta.building import BasinKind
 from impactzeta.errors import ArityMismatch
 from impactzeta.orders import (
@@ -278,18 +278,39 @@ def test_main_theorem_catches_wrong_low_type_counts(monkeypatch):
 
 
 def test_main_theorem_catches_a_wrong_plateau_at_one_height(monkeypatch):
-    """The layer generating function is built from _plateau_q, so an extra
-    q^7 in the split plateau at n = 7 must fail the main theorem there, and
-    nowhere else: the basin functions are summed from the same layers."""
-    real = genfun._plateau_q
+    """The suites build the layer functions and sum the basin functions from
+    them, so an extra q^7 X^14 / tail in the split layer function at n = 7,
+    a plateau off by q^7, must fail the main theorem there, and nowhere else."""
+    real = suites.layer_genfun_q
 
     def plus_q7(kind, n):
-        extra = q_pow(7) if (kind, n) == (BasinKind.SPLIT, 7) else 0
-        return real(kind, n) + extra
+        layer = real(kind, n)
+        if (kind, n) != (BasinKind.SPLIT, 7):
+            return layer
+        return RationalFn(layer.num + q_pow(7) * x_pow(14), layer.den)
 
-    monkeypatch.setattr(genfun, "_plateau_q", plus_q7)
+    monkeypatch.setattr(suites, "layer_genfun_q", plus_q7)
     failed = [c.name for c in identity_suite(8) if not c.passed]
     assert failed == ["main-theorem split n=7"]
+
+
+def test_main_theorem_checks_the_branching_rule(monkeypatch):
+    """The layer functions read their plateau from building.first_arity, so
+    a split basin vertex with m off-basin children instead of m - 1 must fail
+    the main theorem at every n >= 1, and nothing else.  oracle_suite no
+    longer sees this mutant: its BFS (distance_profile) and the closed forms
+    now share the rule.  The TruncatedTree referee, which does not read
+    first_arity, still sees it
+    (tests/test_building.py::test_array_tree_matches_address_construction)."""
+    real = building.first_arity
+
+    def split_gets_m(kind, m):
+        return m if kind is BasinKind.SPLIT else real(kind, m)
+
+    _patch_bindings(monkeypatch, real, split_gets_m)
+    assert genfun.first_arity is split_gets_m
+    failed = [c.name for c in identity_suite(8) if not c.passed]
+    assert failed == [f"main-theorem split n={n}" for n in range(1, 9)]
 
 
 def test_full_zeta_equals_basin_genfun():

@@ -101,6 +101,19 @@ def test_make_case_validation():
                 make_case(tag, p)
 
 
+@pytest.mark.parametrize(
+    "tag,p,tau,delta",
+    [
+        (RAM, 6, 0, 6),  # the ramified rule alone would accept it
+        (RAM, 0, 0, 0),  # the ramified rule alone would divide by 0
+        (SPLIT, 4, 5, 4),  # Delta = (1, p) at a composite p
+    ],
+)
+def test_case_instance_refuses_a_composite_p(tag, p, tau, delta):
+    with pytest.raises(UnsupportedPrime, match=f"{p} is not prime"):
+        CaseInstance(tag, p, tau, delta)
+
+
 def test_unramified_delta_is_minus_the_least_nonresidue():
     # Referee: the set of squares mod p, against Euler's criterion.
     for p in PRIMES_BELOW_200[1:]:
@@ -475,8 +488,9 @@ def test_caches_are_bounded():
     # or on a class, keeps at most its module's CACHE_SIZE entries: an
     # unbounded cache (maxsize=None) fails here.  The package has one
     # lru_cache, and CACHE_SIZE is defined only in the module that holds it.
-    # This scan cannot see plain module-level memos: genfun._running, the
-    # one other, is pinned to one entry in tests/test_genfun.py.
+    # This scan cannot see plain module-level memos: tests/test_module_state.py
+    # lists them from the source, and genfun._running, the one other, is
+    # pinned to one entry in tests/test_genfun.py.
     cached = {}
     sized = []
     for info in pkgutil.iter_modules(impactzeta.__path__):

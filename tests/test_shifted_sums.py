@@ -13,7 +13,7 @@ import pytest
 
 from impactzeta import poly
 from impactzeta.building import BasinKind
-from impactzeta.genfun import _plateau_q, basin_genfun_q, layer_genfun_q, tail_denominator
+from impactzeta.genfun import basin_genfun_q, layer_genfun_q, tail_denominator
 from impactzeta.orders import all_cases, full_zeta, numerator_poly, principal_zeta
 from impactzeta.poly import ONE, BiPoly, RationalFn, q_pow, x_pow, x_shift_sums
 from impactzeta.suites import ALL_KINDS, line_fixture_suite
@@ -46,12 +46,22 @@ def test_full_zeta_sum_equals_the_left_fold(case):
         assert full_zeta(case, n).num == left_fold(lambda k: principal_zeta(case, k), n)
 
 
+# The saturated walk counts, written out by hand: q^n, (q + 1) q^(n-1) and
+# (q - 1) q^(n-1) for n >= 1, and 1 at n = 0.
+PLATEAU = {
+    BasinKind.RAMIFIED: lambda n: q_pow(n),
+    BasinKind.UNRAMIFIED: lambda n: (q_pow(1) + 1) * q_pow(n - 1),
+    BasinKind.SPLIT: lambda n: (q_pow(1) - 1) * q_pow(n - 1),
+}
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_layer_low_sum_equals_the_fold(kind):
     tail = tail_denominator(kind)
     for n in range(MAX_N + 1):
         low = r_fold(n - 1)
-        assert layer_genfun_q(kind, n).num == low * tail + _plateau_q(kind, n) * x_pow(2 * n)
+        plateau = PLATEAU[kind](n) if n else ONE
+        assert layer_genfun_q(kind, n).num == low * tail + plateau * x_pow(2 * n)
 
 
 @pytest.mark.parametrize("case", all_cases(), ids=lambda c: c.tag.value)

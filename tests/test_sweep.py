@@ -9,11 +9,11 @@ import time
 
 import pytest
 
-from impactzeta import genfun
+from impactzeta import genfun, suites
 from impactzeta.building import BasinKind
 from impactzeta.cli import main
 from impactzeta.errors import LimitExceeded
-from impactzeta.poly import q_pow
+from impactzeta.poly import RationalFn, q_pow, x_pow
 from impactzeta.suites import arithmetic_suite, oracle_suite
 
 ARITHMETIC_PRIMES = [(kind, p) for kind in BasinKind for p in (2, 3, 5)]
@@ -32,17 +32,20 @@ def test_oracle_suite_holds_for_every_small_size():
 
 def test_oracle_suite_catches_a_wrong_plateau_from_its_first_walk(monkeypatch):
     """The oracle suite compares the layer and basin series, the one closed
-    form of each walk count, with the BFS counts.  An extra q^3 in the split
-    plateau at n = 3 changes the layer series of O_3 from d = 6 = 2n on, and
-    through basin(n) = layer(n) + X * basin(n-1) the basin series of O_4 and
-    O_5 one and two steps later; every other check still holds."""
-    real = genfun._plateau_q
+    form of each walk count, with the BFS counts.  An extra q^3 X^6 / tail in
+    the split layer function at n = 3, a plateau off by q^3, changes the layer
+    series of O_3 from d = 6 = 2n on, and through basin(n) = layer(n) +
+    X * basin(n-1) the basin series of O_4 and O_5 one and two steps later;
+    every other check still holds."""
+    real = suites.layer_genfun_q
 
     def plus_q3(kind, n):
-        extra = q_pow(3) if (kind, n) == (BasinKind.SPLIT, 3) else 0
-        return real(kind, n) + extra
+        layer = real(kind, n)
+        if (kind, n) != (BasinKind.SPLIT, 3):
+            return layer
+        return RationalFn(layer.num + q_pow(3) * x_pow(6), layer.den)
 
-    monkeypatch.setattr(genfun, "_plateau_q", plus_q3)
+    monkeypatch.setattr(suites, "layer_genfun_q", plus_q3)
     results = oracle_suite((2,), 5, 12)
     expected = [
         f"oracle split m=2 n={n} d={d}" for n in (3, 4, 5) for d in range(n + 3, 13)
