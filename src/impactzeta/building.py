@@ -7,27 +7,27 @@ bi-infinite apartment (split).  Vertices carry basin-relative addresses
 lists child indices along the path leaving the basin, so the height of a
 vertex (its layer index) is simply the word length.
 
-Anchors are encoded as integers: the unramified basin has the single anchor
-0; the ramified edge has anchors 0 and 1 (1 being the second endpoint); the
-split apartment has one anchor per integer position j.  Child index 0 is
-reserved for the way-out direction, so the way-out vertex of height n is
-always ``(0, (0,) * n)``.
+Anchors are integers: 0 for the unramified vertex, 0 and 1 for the ends of
+the ramified edge, every integer j along the split apartment.  The trees,
+the BFS and the p-adic ``ClassAtlas`` read the basin from one rule,
+:func:`basin_neighbors`; a basin vertex's other edges lead to its children.
+None of them reads the closed form's own count of those children, defined
+below.  Child index 0 is reserved for the way-out direction, so the
+way-out vertex of height n is always ``(0, (0,) * n)``.
 
 The walk-count oracle needs no truncation: :func:`distance_profile` runs a
 BFS over states (anchor, height, arrival edge), each carrying the number of
 vertices in it, and never enters a vertex higher than its source.
 
-A :class:`TruncatedTree` is an explicit finite piece of the tree: a map
-from each vertex address to its neighbour addresses, built depth first
-from the anchors.  It places the ideals of the orders for the p-adic
-``ClassAtlas``, backs the ``tree`` command, and its
-:meth:`TruncatedTree.bfs_distances` is the referee for :func:`distance` and
-:func:`distance_profile`.
+A :class:`TruncatedTree` is an explicit finite piece of the tree, a map
+from each vertex address to its neighbours built depth first from the
+anchors.  It places the ideals for the p-adic ``ClassAtlas``, backs the
+``tree`` command, and :meth:`TruncatedTree.bfs_distances` referees
+:func:`distance` and :func:`distance_profile`.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +45,13 @@ class BasinKind(Enum):
     SPLIT = "split"
 
 
+def basin_neighbors(kind: BasinKind, a: int) -> tuple[int, ...]:
+    """The anchors joined to anchor ``a`` by a basin edge."""
+    if kind is BasinKind.SPLIT:
+        return (a - 1, a + 1)
+    return (1 - a,) if kind is BasinKind.RAMIFIED else ()
+
+
 @dataclass(frozen=True)
 class BuildingSpec:
     """A basin kind together with the branching parameter m (degree m + 1).
@@ -58,7 +65,7 @@ class BuildingSpec:
     m: int
 
     def __post_init__(self):
-        least = 2 if self.kind is BasinKind.SPLIT else 1
+        least = max(1, len(basin_neighbors(self.kind, 0)))
         if self.m < least:
             raise ValueError(f"m must be at least {least} on the {self.kind.value} basin")
 
@@ -80,8 +87,8 @@ class VertexAddr:
 
 
 def first_arity(kind: BasinKind, m: int | BiPoly) -> int | BiPoly:
-    """Off-basin children of a basin vertex, for numeric m or symbolic m = q;
-    times m^(n - 1), the number of height-n vertices above one anchor."""
+    """The closed form's count of a basin vertex's off-basin children, for
+    numeric m or symbolic m = q; the BFS that checks it reads only the basin."""
     if kind is BasinKind.UNRAMIFIED:
         return m + 1
     if kind is BasinKind.RAMIFIED:
@@ -90,11 +97,9 @@ def first_arity(kind: BasinKind, m: int | BiPoly) -> int | BiPoly:
 
 
 def _anchor_range(spec: BuildingSpec, halfwidth: int):
-    if spec.kind is BasinKind.UNRAMIFIED:
-        return [0]
-    if spec.kind is BasinKind.RAMIFIED:
-        return [0, 1]
-    return list(range(-halfwidth, halfwidth + 1))
+    if spec.kind is BasinKind.SPLIT:
+        return list(range(-halfwidth, halfwidth + 1))
+    return [0, *basin_neighbors(spec.kind, 0)]
 
 
 class TruncatedTree:
@@ -102,9 +107,9 @@ class TruncatedTree:
 
     ``adjacency`` maps every vertex address to its neighbour addresses, both
     keys and neighbours in ``(anchor, word)`` order; ``vertices`` lists the
-    keys in that order.  The tree serves the p-adic ``ClassAtlas``, the
-    ``tree`` command and, through :meth:`bfs_distances`, the tests as a
-    referee.  Built by :func:`build_truncated` and :func:`build_line_tree`.
+    keys in that order; :func:`basin_neighbors` gives the basin edges.  It
+    serves ``ClassAtlas``, the ``tree`` command and (:meth:`bfs_distances`)
+    the tests as a referee; :func:`build_truncated` builds it.
     """
 
     def __init__(self, spec: BuildingSpec, radius: int, halfwidth: int = 0):
@@ -114,24 +119,20 @@ class TruncatedTree:
         self.radius = radius
         self.halfwidth = halfwidth
         m = spec.m
-        # A basin vertex has degree m + 1, less its neighbours on the basin;
-        # this tree referees the oracle, so it does not read first_arity.
-        arity0 = m + 1 - {
-            BasinKind.UNRAMIFIED: 0, BasinKind.RAMIFIED: 1, BasinKind.SPLIT: 2
-        }[spec.kind]
-        anchors = _anchor_range(spec, halfwidth)
-        size = len(anchors) * (1 + arity0 * sum(m**h for h in range(radius)))
+        # A basin vertex's children: degree m + 1 less all its basin edges.
+        sides = {a: basin_neighbors(spec.kind, a) for a in _anchor_range(spec, halfwidth)}
+        above = sum(m**h for h in range(radius))
+        size = sum(1 + (m + 1 - len(side)) * above for side in sides.values())
         if size > MAX_VERTICES:
             raise LimitExceeded(
                 f"truncated tree {spec.kind.value} m={m} radius={radius} "
                 f"halfwidth={halfwidth}: {size} vertices, above MAX_VERTICES = {MAX_VERTICES}"
             )
 
-        basin = {VertexAddr(a): () for a in anchors}
-        # Basin edges join consecutive anchors (the ramified edge, the apartment).
-        for u, w in itertools.pairwise(basin):
-            basin[u] += (w,)
-            basin[w] += (u,)
+        basin = {
+            VertexAddr(a): tuple(VertexAddr(b) for b in side if b in sides)
+            for a, side in sides.items()
+        }
         # Depth first, children in digit order: vertices enter in (anchor,
         # word) order.  A stack entry holds a vertex and its neighbours
         # nearer the basin, which precede its children in that order.
@@ -140,7 +141,7 @@ class TruncatedTree:
         while stack:
             u, inner = stack.pop()
             if u.height < radius:
-                arity = m if u.word else arity0
+                arity = m if u.word else m + 1 - len(sides[u.anchor])
                 children = [VertexAddr(u.anchor, u.word + (c,)) for c in range(arity)]
                 adjacency[u] = (*inner, *children)
                 up = (u,)
@@ -215,14 +216,15 @@ def distance_profile(
     or from a neighbouring anchor.  Vertices in one state have the same
     onward steps, so each state carries the number of vertices in it (the
     transfer-matrix method: Stanley, *Enumerative Combinatorics* I, 4.7).
+    The steps read :func:`basin_neighbors`, never the closed form's arity.
     Each visited state counts against ``MAX_VERTICES``.
     """
-    m, arity0 = spec.m, first_arity(spec.kind, spec.m)
-    # Basin edges join consecutive anchors; every integer anchors the apartment.
-    anchors = None if spec.kind is BasinKind.SPLIT else _anchor_range(spec, 0)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    m, kind = spec.m, spec.kind
     a0, word = source.anchor, source.word
-    if (anchors is not None and a0 not in anchors) or not all(
-        0 <= c < (m if i else arity0) for i, c in enumerate(word)
+    if a0 not in _anchor_range(spec, abs(a0)) or not all(
+        0 <= c < (m if i else m + 1 - len(basin_neighbors(kind, a0))) for i, c in enumerate(word)
     ):
         raise UnknownVertex(str(source))
     h, visited = len(word), 0
@@ -243,18 +245,18 @@ def distance_profile(
         # one step further from the source.
         nxt: Counter = Counter()
         for (a, t, arrival), count in frontier.items():
-            # Up to every child but the one it came from (none at m = 1, or
-            # at the split basin with m = 2).
-            children = (m if t else arity0) - (arrival == "child")
+            side = () if t else basin_neighbors(kind, a)
+            # Up to every child but the one it came from, of m, or m + 1 less
+            # the basin edges at the basin (none at m = 1 or split m = 2).
+            children = (m if t else m + 1 - len(side)) - (arrival == "child")
             if t < h and children:
                 nxt[a, t + 1, "parent"] += count * children
             if t and arrival != "parent":
                 nxt[a, t - 1, "child"] += count
-            if not t:
-                # Along the basin, away from the source's anchor.
-                for b in (a - 1, a + 1):
-                    if abs(b - a0) > abs(a - a0) and (anchors is None or b in anchors):
-                        nxt[b, 0, "side"] += count
+            # Along the basin, away from the source's anchor.
+            for b in side:
+                if abs(b - a0) > abs(a - a0):
+                    nxt[b, 0, "side"] += count
         frontier = nxt
     return tuple(layer), tuple(basin)
 

@@ -54,6 +54,7 @@ from .building import (
     BasinKind,
     BuildingSpec,
     VertexAddr,
+    basin_neighbors,
     build_truncated,
     distance as tree_distance,
     way_out_vertex,
@@ -323,32 +324,31 @@ class ClassAtlas:
     to the basin (Serre, *Trees*, ch. II), so a split class at height
     h <= n and anchor j != 0 lies at distance n + |j| + h from O_n; the
     index exponents at a vertex start at its distance, so the anchors run
-    out to |j| = max_contribution - n.  The other basins ignore the
-    halfwidth.
+    out to |j| = max_contribution - n; the other basins ignore the halfwidth.
 
-    Built by breadth-first descent from the basin anchor classes, each
-    anchor a seeded with ``anchor_lattice(inst, a)``, labelling children in
+    Built by breadth-first descent from the anchor classes, anchor a seeded
+    with ``anchor_lattice(inst, a)`` and the classes of its
+    ``basin_neighbors`` kept from its children, labelling children in
     sorted Hermite order except at the way-out vertex of each height h,
     whose child 0, the next way-out vertex, is forced to be the next
-    main-sequence class O_{h+1}.
+    main-sequence class O_{h+1}.  A negative size raises ``ValueError``.
     """
 
     def __init__(self, inst: CaseInstance, n: int, max_contribution: int):
+        if n < 0 or max_contribution < 0:
+            raise ValueError("need n >= 0 and max_contribution >= 0")
         self.inst = inst
         self.n = n
         self.max_contribution = max_contribution
         spec = BuildingSpec(inst.tag, inst.p)
         self.tree = tree = build_truncated(spec, n, max(max_contribution - n, n))
-        # Each anchor's class, with the classes of its neighbours on the basin
-        # excluded from its children.  The apartment goes on past each end of
-        # the truncation, so those neighbours include one class past each
-        # end; the unramified vertex and the ramified edge lie whole inside.
+        # Each anchor's class, with its basin neighbours' classes (one past
+        # each end of the truncated apartment) excluded from its children.
         anchors = [v.anchor for v in tree.vertices if not v.word]
-        reach = 1 if inst.tag is BasinKind.SPLIT else 0
-        basin = range(anchors[0] - reach, anchors[-1] + reach + 1)
+        basin = {b for a in anchors for b in (a, *basin_neighbors(inst.tag, a))}
         line = {a: anchor_lattice(inst, a) for a in basin}
         queue = deque(
-            (VertexAddr(a), line[a], tuple(line[b] for b in (a - 1, a + 1) if b in line))
+            (VertexAddr(a), line[a], tuple(line[b] for b in basin_neighbors(inst.tag, a)))
             for a in anchors
         )
         self._by_class: dict[LatticeHNF, VertexAddr] = {}
@@ -606,6 +606,8 @@ def enumerate_ideals(inst: CaseInstance, n: int, max_contribution: int) -> list[
     Records come in scan order: by index exponent, then a, then c.  They
     carry no tree address; ``ClassAtlas.place`` gives one.
     """
+    if n < 0 or max_contribution < 0:
+        raise ValueError("need n >= 0 and max_contribution >= 0")
     return list(_enumerate_core(inst, n, max_contribution))
 
 

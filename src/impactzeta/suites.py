@@ -255,7 +255,7 @@ def arithmetic_suite(
                 # (f) traveling map: bijection onto the next level's
                 # non-principal ideals, one index step up.
                 if n < n_max:
-                    inner = enumerate_ideals(inst, n, d_bound - 1)
+                    inner = enumerate_ideals(inst, n, d_bound - 1) if d_bound else []
                     image = {traveling(inst, n, r.lattice) for r in inner}
                     nxt = enumerate_ideals(inst, n + 1, d_bound)
                     non_principal = {r.lattice for r in nxt if not r.principal}

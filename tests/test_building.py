@@ -327,3 +327,8 @@ def test_deep_line_tree_builds_without_recursion(kind):
 def test_distance_profile_rejects_addresses_outside_the_tree(kind, address):
     with pytest.raises(UnknownVertex):
         distance_profile(BuildingSpec(kind, 2), address, 3)
+
+
+def test_distance_profile_refuses_a_negative_radius():
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        distance_profile(BuildingSpec(BasinKind.SPLIT, 2), way_out_vertex(1), -1)

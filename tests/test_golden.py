@@ -12,6 +12,10 @@ updates the digest and says why in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +95,24 @@ def test_output_is_byte_identical(capsys, command):
 
 def test_every_command_is_pinned():
     assert sorted(GOLDEN) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify --suite all --format json",
+        "enumerate --case split --p 3 -n 2 --max-contribution 5 --format csv",
+    ],
+)
+def test_output_does_not_depend_on_the_hash_seed(command):
+    """The benchmark runs every command in a subprocess under its own
+    ``PYTHONHASHSEED``; the digests above are taken in-process under one."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "impactzeta.cli", *command.split()]
+        outputs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == GOLDEN[command][1]

@@ -22,7 +22,7 @@ from impactzeta.orders import (
 )
 from impactzeta.poly import ONE, Q, ZERO, RationalFn, q_pow, series_expand, x_pow
 from impactzeta.report import all_passed
-from impactzeta.suites import arithmetic_suite, identity_suite
+from impactzeta.suites import arithmetic_suite, identity_suite, oracle_suite
 
 RAM = extension_case(BasinKind.RAMIFIED)
 UNRAM = extension_case(BasinKind.UNRAMIFIED)
@@ -295,13 +295,14 @@ def test_main_theorem_catches_a_wrong_plateau_at_one_height(monkeypatch):
 
 
 def test_main_theorem_checks_the_branching_rule(monkeypatch):
-    """The layer functions read their plateau from building.first_arity, so
-    a split basin vertex with m off-basin children instead of m - 1 must fail
-    the main theorem at every n >= 1, and nothing else.  oracle_suite no
-    longer sees this mutant: its BFS (distance_profile) and the closed forms
-    now share the rule.  The TruncatedTree referee, which does not read
-    first_arity, still sees it
-    (tests/test_building.py::test_array_tree_matches_address_construction)."""
+    """The layer functions read their plateau from building.first_arity, the
+    closed form's branching rule, while the BFS (distance_profile) derives
+    the children of a basin vertex from its degree and
+    building.basin_neighbors.  So a split basin vertex with m off-basin
+    children instead of m - 1 must fail the main theorem at every n >= 1
+    and every oracle check of a split layer off the basin (n >= 1, d > n),
+    and nothing else.  The basin rule, which the closed forms do not read,
+    is checked too: a one-sided split apartment fails the oracle."""
     real = building.first_arity
 
     def split_gets_m(kind, m):
@@ -311,6 +312,25 @@ def test_main_theorem_checks_the_branching_rule(monkeypatch):
     assert genfun.first_arity is split_gets_m
     failed = [c.name for c in identity_suite(8) if not c.passed]
     assert failed == [f"main-theorem split n={n}" for n in range(1, 9)]
+    failed = [c.name for c in oracle_suite((2, 3), 5, 12) if not c.passed]
+    assert failed == [
+        f"oracle split m={m} n={n} d={d}"
+        for m in (2, 3)
+        for n in range(1, 6)
+        for d in range(n + 1, 13)
+    ]
+
+    monkeypatch.undo()
+    real = building.basin_neighbors
+
+    def one_sided(kind, a):
+        return (a + 1,) if kind is BasinKind.SPLIT else real(kind, a)
+
+    _patch_bindings(monkeypatch, real, one_sided)
+    assert building.basin_neighbors is one_sided
+    failed = [c.name for c in oracle_suite((2, 3), 5, 12) if not c.passed]
+    assert len(failed) == 105
+    assert all(name.startswith("oracle split ") for name in failed)
 
 
 def test_full_zeta_equals_basin_genfun():

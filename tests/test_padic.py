@@ -206,6 +206,14 @@ def test_slope_map_is_homomorphism(ram3, unram3, split3):
             assert (slope_map(inst, n, u) == 0) == in_order_unit(inst, n + 1, u)
 
 
+@pytest.mark.parametrize(
+    "build,n,bound", [(enumerate_ideals, -1, 3), (enumerate_ideals, 1, -1), (ClassAtlas, 1, -1)]
+)
+def test_negative_sizes_are_refused(build, n, bound):
+    with pytest.raises(ValueError, match="need n >= 0 and max_contribution >= 0"):
+        build(make_case(SPLIT, 2), n, bound)
+
+
 def test_coset_reps_counts(ram3, unram3, split3):
     assert coset_reps(ram3, 0) == [(1, 0)]
     assert len(coset_reps(ram3, 2)) == 9
